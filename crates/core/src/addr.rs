@@ -68,22 +68,24 @@ impl fmt::Display for LogicalAddr {
 /// Split the byte range `[addr.offset, addr.offset + len)` of a segment
 /// into per-frame `(frame_index, frame_offset, chunk_len)` pieces — the
 /// granularity at which hardware (and our simulator) actually operates.
-pub fn frame_chunks(addr: LogicalAddr, len: u64) -> Vec<(u64, u64, u64)> {
-    let mut out = Vec::new();
+/// Lazy: walking an op's frames allocates nothing.
+pub fn frame_chunks(addr: LogicalAddr, len: u64) -> impl Iterator<Item = (u64, u64, u64)> {
     let mut off = addr.offset;
     let end = addr.offset.saturating_add(len);
-    while off < end {
+    std::iter::from_fn(move || {
+        if off >= end {
+            return None;
+        }
         let frame = off / FRAME_BYTES;
         let within = off % FRAME_BYTES;
-        // `within < FRAME_BYTES` (it is a remainder) and `off < end` (loop
-        // guard), so neither subtraction can underflow.
+        // `within < FRAME_BYTES` (it is a remainder) and `off < end` (the
+        // guard above), so neither subtraction can underflow.
         let chunk = FRAME_BYTES
             .saturating_sub(within)
             .min(end.saturating_sub(off));
-        out.push((frame, within, chunk));
         off = off.saturating_add(chunk);
-    }
-    out
+        Some((frame, within, chunk))
+    })
 }
 
 #[cfg(test)]
@@ -107,24 +109,21 @@ mod tests {
     #[test]
     fn chunks_within_one_frame() {
         let a = LogicalAddr::new(SegmentId(0), 100);
-        assert_eq!(frame_chunks(a, 50), vec![(0, 100, 50)]);
+        assert_eq!(frame_chunks(a, 50).collect::<Vec<_>>(), vec![(0, 100, 50)]);
     }
 
     #[test]
     fn chunks_split_at_frame_boundaries() {
         let a = LogicalAddr::new(SegmentId(0), FRAME_BYTES - 10);
-        let chunks = frame_chunks(a, 20);
-        assert_eq!(
-            chunks,
-            vec![(0, FRAME_BYTES - 10, 10), (1, 0, 10)]
-        );
+        let chunks: Vec<_> = frame_chunks(a, 20).collect();
+        assert_eq!(chunks, vec![(0, FRAME_BYTES - 10, 10), (1, 0, 10)]);
     }
 
     #[test]
     fn chunks_cover_exactly() {
         let a = LogicalAddr::new(SegmentId(0), 12345);
         let len = 3 * FRAME_BYTES + 777;
-        let chunks = frame_chunks(a, len);
+        let chunks: Vec<_> = frame_chunks(a, len).collect();
         let total: u64 = chunks.iter().map(|c| c.2).sum();
         assert_eq!(total, len);
         // Contiguity.
@@ -137,6 +136,9 @@ mod tests {
 
     #[test]
     fn zero_length_has_no_chunks() {
-        assert!(frame_chunks(LogicalAddr::new(SegmentId(0), 5), 0).is_empty());
+        assert_eq!(
+            frame_chunks(LogicalAddr::new(SegmentId(0), 5), 0).next(),
+            None
+        );
     }
 }

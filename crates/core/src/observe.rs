@@ -10,6 +10,7 @@
 //! a fresh per-node registry, the fabric into another, and the snapshots
 //! merge into one rack-level view with deterministic JSON and digest.
 
+use crate::batch::BatchOp;
 use crate::migrate::MigrationReport;
 use crate::placement::DomainLevel;
 use crate::pool::{LogicalPool, PoolAccess};
@@ -118,24 +119,26 @@ impl PoolTelemetry {
     }
 
     /// Record one completed batch of pool accesses (a single op is a batch
-    /// of one). `dram_done` is the instant the last DRAM run finished; the
-    /// tail up to `complete` is attributed to the fabric (present only when
-    /// the batch moved remote bytes — for all-local batches the two
-    /// coincide). Per-op counters are bumped exactly as a one-by-one issue
-    /// order would, but the span tree gets **one** root — `access` for a
-    /// single op, `batch` for more — whose children partition the batch's
-    /// end-to-end `[now, complete]` window.
+    /// of one): `ops[i]` completed as `accesses[i]`. `dram_done` is the
+    /// instant the last DRAM run finished; the tail up to `complete` is
+    /// attributed to the fabric (present only when the batch moved remote
+    /// bytes — for all-local batches the two coincide). Per-op counters
+    /// are bumped exactly as issuing the ops one by one would, but the
+    /// span tree gets **one** root — `access` for a single op, `batch` for
+    /// more — whose children partition the batch's end-to-end
+    /// `[now, complete]` window.
     pub(crate) fn on_batch(
         &mut self,
         now: SimTime,
         requester: NodeId,
-        ops: &[(MemOp, PoolAccess)],
+        ops: &[BatchOp],
+        accesses: &[PoolAccess],
         dram_done: SimTime,
         complete: SimTime,
     ) {
         let mut remote_bytes = 0;
-        for (op, access) in ops {
-            match op {
+        for (o, access) in ops.iter().zip(accesses) {
+            match o.op {
                 MemOp::Read => self.registry.inc(self.ops_read),
                 MemOp::Write => self.registry.inc(self.ops_write),
             }

@@ -149,6 +149,43 @@ struct PoolQos {
     bands: BTreeMap<TenantId, Band>,
 }
 
+/// One frame chunk of one batch op, as the batch planner sorts it.
+struct Chunk {
+    holder: u32,
+    write: bool,
+    seg: SegmentId,
+    /// Byte offset within the segment (for adjacency detection).
+    start: u64,
+    op: usize,
+    /// The op's first chunk: counting these counts a stream's ops.
+    first: bool,
+    bytes: u64,
+    frame: lmp_mem::FrameId,
+}
+
+impl Chunk {
+    /// The `(holder, is_write)` stream the chunk rides.
+    fn stream(&self) -> (u32, bool) {
+        (self.holder, self.write)
+    }
+
+    /// Plan order: stream, then segment position, then op.
+    fn key(&self) -> (u32, bool, SegmentId, u64, usize) {
+        (self.holder, self.write, self.seg, self.start, self.op)
+    }
+}
+
+/// A coalesced run: chunks `lo..hi` of the sorted chunk list.
+struct Run {
+    lo: usize,
+    hi: usize,
+    /// Segment offset one past the run's last byte.
+    end: u64,
+    bytes: u64,
+    /// When the run's DRAM access, then its fabric chunk, completes.
+    done: SimTime,
+}
+
 /// The rack-wide logical memory pool.
 #[derive(Debug)]
 pub struct LogicalPool {
@@ -599,20 +636,31 @@ impl LogicalPool {
         }
         // ---- validate: nothing is charged until every op clears ----
         for o in ops {
+            if o.len == 0 {
+                return Err(PoolError::InvalidRequest("zero-length access"));
+            }
             self.check_bounds(o.addr, o.len)?;
         }
         if self.nodes[requester.0 as usize].is_failed() {
             return Err(PoolError::ServerDown(requester));
         }
-        let mut locs: BTreeMap<SegmentId, SegmentLoc> = BTreeMap::new();
-        let mut op_faults = vec![0u32; ops.len()];
-        for (i, o) in ops.iter().enumerate() {
-            if locs.contains_key(&o.addr.segment) {
+        let idle = PoolAccess {
+            complete: now,
+            local_bytes: 0,
+            remote_bytes: 0,
+            faults: 0,
+        };
+        let mut accesses = vec![idle; ops.len()];
+        // Distinct segments' locations, sorted by segment id.
+        let mut locs: Vec<(SegmentId, SegmentLoc)> = Vec::new();
+        for (o, a) in ops.iter().zip(&mut accesses) {
+            let seg = o.addr.segment;
+            let Err(pos) = locs.binary_search_by_key(&seg, |&(s, _)| s) else {
                 continue;
-            }
-            let (loc, faults) = self.translate(requester, o.addr.segment)?;
+            };
+            let (loc, faults) = self.translate(requester, seg)?;
             if self.nodes[loc.server.0 as usize].is_failed() {
-                return Err(PoolError::SegmentLost(o.addr.segment));
+                return Err(PoolError::SegmentLost(seg));
             }
             // The fabric's port state can lag the pool's crash state by a
             // simulated detection delay under fault injection. Checking
@@ -623,158 +671,123 @@ impl LogicalPool {
                     return Err(PoolError::ServerDown(requester));
                 }
                 if fabric.is_port_down(loc.server) {
-                    return Err(PoolError::SegmentLost(o.addr.segment));
+                    return Err(PoolError::SegmentLost(seg));
                 }
             }
-            locs.insert(o.addr.segment, loc);
-            op_faults[i] = faults;
+            locs.insert(pos, (seg, loc));
+            a.faults = faults;
         }
 
-        // ---- plan: shared frame walk, then (holder, direction) streams ----
-        struct Chunk {
-            op: usize,
-            seg: SegmentId,
-            /// Byte offset within the segment (for adjacency detection).
-            start: u64,
-            bytes: u64,
-            frame: lmp_mem::FrameId,
-        }
-        let mut chunks: Vec<Chunk> = Vec::new();
-        let mut streams: std::collections::BTreeMap<(u32, bool), Vec<usize>> =
-            std::collections::BTreeMap::new();
+        // ---- plan: one chunk list in stream order, runs as ranges ----
+        let mut chunks: Vec<Chunk> = Vec::with_capacity(ops.len());
         for (i, o) in ops.iter().enumerate() {
-            let holder = locs[&o.addr.segment].server;
-            for (frame_idx, within, chunk) in frame_chunks(o.addr, o.len) {
+            let seg = o.addr.segment;
+            let holder = locs
+                .binary_search_by_key(&seg, |&(s, _)| s)
+                .map(|pos| locs[pos].1.server)
+                .map_err(|_| PoolError::Internal("batch op's segment was not translated"))?;
+            for (k, (frame_idx, within, bytes)) in frame_chunks(o.addr, o.len).enumerate() {
                 let frame = self.locals[holder.0 as usize]
-                    .resolve(o.addr.segment, frame_idx)
-                    .ok_or(PoolError::Internal("fine map missing frame of live segment"))?;
-                streams
-                    .entry((holder.0, matches!(o.op, MemOp::Write)))
-                    .or_default()
-                    .push(chunks.len());
+                    .resolve(seg, frame_idx)
+                    .ok_or(PoolError::Internal(
+                        "fine map missing frame of live segment",
+                    ))?;
                 chunks.push(Chunk {
-                    op: i,
-                    seg: o.addr.segment,
+                    holder: holder.0,
+                    write: matches!(o.op, MemOp::Write),
+                    seg,
                     start: frame_idx * FRAME_BYTES + within,
-                    bytes: chunk,
+                    op: i,
+                    first: k == 0,
+                    bytes,
                     frame,
                 });
             }
         }
+        // Streams are (holder, direction) pairs in node order, reads
+        // first; within a stream chunks follow segment position. Keys are
+        // unique (an op's chunks have distinct offsets), so the unstable
+        // sort is deterministic.
+        chunks.sort_unstable_by_key(Chunk::key);
+        let frames: Vec<lmp_mem::FrameId> = chunks.iter().map(|c| c.frame).collect();
+        // Coalesce byte-contiguous chunks of one stream and segment into
+        // runs of at most one frame, so a run is a realistic DRAM burst
+        // and fabric streams keep chunk-level wire pipelining.
+        let mut runs: Vec<Run> = Vec::new();
+        for (ci, c) in chunks.iter().enumerate() {
+            match runs.last_mut() {
+                Some(r)
+                    if chunks[r.lo].stream() == c.stream()
+                        && chunks[r.lo].seg == c.seg
+                        && r.end == c.start
+                        && r.bytes + c.bytes <= FRAME_BYTES =>
+                {
+                    r.hi = ci + 1;
+                    r.end += c.bytes;
+                    r.bytes += c.bytes;
+                }
+                _ => runs.push(Run {
+                    lo: ci,
+                    hi: ci + 1,
+                    end: c.start + c.bytes,
+                    bytes: c.bytes,
+                    done: now,
+                }),
+            }
+        }
 
-        // ---- commit: per-stream runs, DRAM, then the fabric stream ----
-        let mut per_op = vec![
-            PoolAccess {
-                complete: now,
-                local_bytes: 0,
-                remote_bytes: 0,
-                faults: 0,
-            };
-            ops.len()
-        ];
+        // ---- commit: per stream, DRAM runs then one fabric stream ----
         let mut dram_done = now;
-        // Per-holder completion: the max over that holder's streams. Kept in
-        // a BTreeMap so the emitted list is ordered by node id — one
-        // schedulable completion event per holder, deterministically.
-        let mut holder_done: BTreeMap<u32, SimTime> = BTreeMap::new();
-        for ((holder_idx, is_write), mut members) in streams {
+        // One entry per holder, in node order: a holder completes at the
+        // max over its streams, one schedulable event per holder.
+        let mut holder_done: Vec<(NodeId, SimTime)> = Vec::new();
+        let mut sizes: Vec<u64> = Vec::new();
+        for stream in runs.chunk_by_mut(|a, b| chunks[a.lo].stream() == chunks[b.lo].stream()) {
+            let members = &chunks[stream[0].lo..stream[stream.len() - 1].hi];
+            let (holder_idx, is_write) = members[0].stream();
             let holder = NodeId(holder_idx);
             let local = holder == requester;
-            // Coalesce byte-contiguous chunks (ordered by segment position)
-            // into runs of at most one frame, so a run is a realistic DRAM
-            // burst and fabric streams keep chunk-level wire pipelining.
-            members.sort_by_key(|&ci| (chunks[ci].seg, chunks[ci].start, chunks[ci].op));
-            struct Run {
-                seg: SegmentId,
-                end: u64,
-                bytes: u64,
-                frames: Vec<lmp_mem::FrameId>,
-                members: Vec<usize>,
-            }
-            let mut runs: Vec<Run> = Vec::new();
-            for &ci in &members {
-                let c = &chunks[ci];
-                match runs.last_mut() {
-                    Some(r)
-                        if r.seg == c.seg
-                            && r.end == c.start
-                            && r.bytes + c.bytes <= FRAME_BYTES =>
-                    {
-                        r.end += c.bytes;
-                        r.bytes += c.bytes;
-                        r.frames.push(c.frame);
-                        r.members.push(ci);
-                    }
-                    _ => runs.push(Run {
-                        seg: c.seg,
-                        end: c.start + c.bytes,
-                        bytes: c.bytes,
-                        frames: vec![c.frame],
-                        members: vec![ci],
-                    }),
-                }
-            }
 
             // One DRAM occupancy per run, all issued at `now` (independent
             // cache-line streams pipeline in hardware); each pre-coalescing
             // chunk still contributes its hotness sample and pool counter,
             // so accounting matches a one-by-one issue order exactly.
-            let mut run_dram: Vec<SimTime> = Vec::with_capacity(runs.len());
-            for r in &runs {
-                let d = self.nodes[holder_idx as usize].access_run(
-                    now,
-                    r.bytes,
-                    requester.0,
-                    local,
-                    &r.frames,
-                );
-                run_dram.push(d.complete);
+            for r in stream.iter_mut() {
+                r.done = self.nodes[holder_idx as usize]
+                    .access_run(now, r.bytes, requester.0, local, &frames[r.lo..r.hi])
+                    .complete;
+                dram_done = dram_done.max(r.done);
             }
-            for _ in &members {
-                if local {
-                    self.local_accesses.inc();
-                } else {
-                    self.remote_accesses.inc();
-                }
-            }
-            let mut run_complete = run_dram.clone();
-            if !local {
-                let sizes: Vec<u64> = runs.iter().map(|r| r.bytes).collect();
-                let mut stream_ops: Vec<usize> =
-                    members.iter().map(|&ci| chunks[ci].op).collect();
-                stream_ops.sort_unstable();
-                stream_ops.dedup();
+            if local {
+                self.local_accesses.add(members.len() as u64);
+            } else {
+                self.remote_accesses.add(members.len() as u64);
+                sizes.clear();
+                sizes.extend(stream.iter().map(|r| r.bytes));
+                let stream_ops = members.iter().filter(|c| c.first).count() as u64;
                 let op = if is_write { MemOp::Write } else { MemOp::Read };
                 // Unreachable after the port pre-flight (port state cannot
                 // change mid-call); kept as defence in depth.
                 let bt = fabric
-                    .transfer_batch_banded(
-                        now,
-                        requester,
-                        holder,
-                        op,
-                        &sizes,
-                        stream_ops.len() as u64,
-                        band,
-                    )
+                    .transfer_batch_banded(now, requester, holder, op, &sizes, stream_ops, band)
                     .map_err(|e| match e {
                         FabricError::RequesterDown(n) => PoolError::ServerDown(n),
-                        FabricError::HolderDown(_) => PoolError::SegmentLost(runs[0].seg),
+                        FabricError::HolderDown(_) => PoolError::SegmentLost(members[0].seg),
                         FabricError::Contract(why) => PoolError::Internal(why),
                     })?;
-                for (ri, &done) in bt.chunk_done.iter().enumerate() {
-                    run_complete[ri] = run_complete[ri].max(done);
+                for (r, &done) in stream.iter_mut().zip(&bt.chunk_done) {
+                    r.done = r.done.max(done);
                 }
             }
-            let stream_done = run_complete.iter().copied().max().unwrap_or(now);
-            let hd = holder_done.entry(holder_idx).or_insert(stream_done);
-            *hd = (*hd).max(stream_done);
-            for (ri, r) in runs.iter().enumerate() {
-                dram_done = dram_done.max(run_dram[ri]);
-                for &ci in &r.members {
-                    let c = &chunks[ci];
-                    let a = &mut per_op[c.op];
-                    a.complete = a.complete.max(run_complete[ri]);
+            let stream_done = stream.iter().fold(now, |t, r| t.max(r.done));
+            match holder_done.last_mut() {
+                Some((h, t)) if *h == holder => *t = (*t).max(stream_done),
+                _ => holder_done.push((holder, stream_done)),
+            }
+            for r in stream.iter() {
+                for c in &chunks[r.lo..r.hi] {
+                    let a = &mut accesses[c.op];
+                    a.complete = a.complete.max(r.done);
                     if local {
                         a.local_bytes += c.bytes;
                     } else {
@@ -786,30 +799,20 @@ impl LogicalPool {
 
         let mut result = BatchResult {
             complete: now,
-            ops: Vec::with_capacity(ops.len()),
+            ops: accesses,
             local_bytes: 0,
             remote_bytes: 0,
             faults: 0,
-            holder_done: holder_done
-                .into_iter()
-                .map(|(h, t)| (NodeId(h), t))
-                .collect(),
+            holder_done,
         };
-        for (i, mut a) in per_op.into_iter().enumerate() {
-            a.faults = op_faults[i];
+        for a in &result.ops {
             result.complete = result.complete.max(a.complete);
             result.local_bytes += a.local_bytes;
             result.remote_bytes += a.remote_bytes;
             result.faults += a.faults;
-            result.ops.push(a);
         }
         if let Some(t) = self.telemetry.as_deref_mut() {
-            let pairs: Vec<(MemOp, PoolAccess)> = ops
-                .iter()
-                .zip(&result.ops)
-                .map(|(o, a)| (o.op, *a))
-                .collect();
-            t.on_batch(now, requester, &pairs, dram_done, result.complete);
+            t.on_batch(now, requester, ops, &result.ops, dram_done, result.complete);
         }
         Ok(result)
     }
@@ -1381,6 +1384,40 @@ mod tests {
         assert_eq!(r.complete, now);
         assert!(r.ops.is_empty());
         assert_eq!(p.access_counts(), (0, 0));
+    }
+
+    #[test]
+    fn zero_length_op_is_refused_and_charges_nothing() {
+        // Regression: a 0-byte read of a remote segment used to be
+        // accepted. It took a TLB miss and counted in telemetry as a local
+        // access, while the pool's own counters and the fabric saw nothing.
+        let (mut p, mut f) = small_pool();
+        p.attach_telemetry();
+        let far = p.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
+        let addr = LogicalAddr::new(far, 0);
+        let r = p.access(&mut f, SimTime::ZERO, NodeId(0), addr, 0, MemOp::Read);
+        assert_eq!(r, Err(PoolError::InvalidRequest("zero-length access")));
+        // A batch holding one is refused whole, before translation.
+        let batch = [BatchOp::read(addr, 64), BatchOp::write(addr.add(64), 0)];
+        let r = p.access_batch(&mut f, SimTime::ZERO, NodeId(0), &batch);
+        assert_eq!(r, Err(PoolError::InvalidRequest("zero-length access")));
+        let tlb = p.tlb(NodeId(0)).unwrap();
+        assert_eq!(
+            (tlb.hit_count(), tlb.miss_count()),
+            (0, 0),
+            "no translation"
+        );
+        assert_eq!(p.global_map().lookup_count(), 0);
+        assert_eq!(p.access_counts(), (0, 0));
+        assert_eq!((f.read_count(), f.write_count()), (0, 0));
+        assert_eq!(p.node(NodeId(1)).dram().access_count(), 0);
+        let snap = p.telemetry().unwrap().snapshot();
+        assert_eq!(snap.counter("pool.accesses.local", &[]), 0);
+        assert_eq!(
+            snap.counter("pool.accesses.local.by_server", &[("server", "0")]),
+            0
+        );
+        assert_eq!(snap.counter("pool.ops.read", &[]), 0);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! every band always drains at *some* rate).
 //!
 //! All state is integer nanoseconds of queued wire time; service splits
-//! use `u128` products with the truncation remainder granted to the
-//! highest-priority non-empty band. Same arrivals ⇒ same completions,
-//! bit-for-bit.
+//! are exact integer products and quotients (in `u64`, widened to `u128`
+//! only when a product overflows) with the truncation remainder granted
+//! to the highest-priority non-empty band. Same arrivals ⇒ same
+//! completions, bit-for-bit.
 
 use lmp_sim::time::{SimDuration, SimTime};
 
@@ -88,6 +89,28 @@ impl Default for BandWeights {
     }
 }
 
+/// `⌈a · b / c⌉`, saturating at `u64::MAX`; `c > 0`. The product stays in
+/// `u64` unless it overflows, and only then widens to `u128`, so both
+/// paths give the same exact quotient.
+fn mul_div_ceil(a: u64, b: u64, c: u64) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) => p.div_ceil(c),
+        None => {
+            let q = (u128::from(a) * u128::from(b)).div_ceil(u128::from(c));
+            u64::try_from(q).unwrap_or(u64::MAX)
+        }
+    }
+}
+
+/// `⌊a · b / c⌋`, saturating at `u64::MAX`; `c > 0`. Same overflow
+/// fallback as [`mul_div_ceil`].
+fn mul_div_floor(a: u64, b: u64, c: u64) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) => p / c,
+        None => u64::try_from(u128::from(a) * u128::from(b) / u128::from(c)).unwrap_or(u64::MAX),
+    }
+}
+
 /// One service interval: advance the queues by at most `budget` ns of
 /// wire time, stopping early when a band would empty mid-interval (so
 /// the proportional split stays piecewise-exact). Returns the elapsed
@@ -110,9 +133,7 @@ fn service_step(q: &mut [u64; BAND_COUNT], w: &[u64; BAND_COUNT], budget: u64) -
         if q[i] == 0 {
             continue;
         }
-        let prod = (q[i] as u128).saturating_mul(wsum as u128);
-        let t = prod.div_ceil(w[i] as u128);
-        t_empty = t_empty.min(u64::try_from(t).unwrap_or(u64::MAX));
+        t_empty = t_empty.min(mul_div_ceil(q[i], wsum, w[i]));
     }
     let step = budget.min(t_empty);
     // Proportional shares, truncated; capped at the band's backlog.
@@ -122,8 +143,7 @@ fn service_step(q: &mut [u64; BAND_COUNT], w: &[u64; BAND_COUNT], budget: u64) -
         if q[i] == 0 {
             continue;
         }
-        let share = (step as u128).saturating_mul(w[i] as u128) / wsum as u128;
-        let s = u64::try_from(share).unwrap_or(u64::MAX).min(q[i]);
+        let s = mul_div_floor(step, w[i], wsum).min(q[i]);
         served[i] = s;
         used = used.saturating_add(s);
     }
@@ -242,6 +262,7 @@ impl BandedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn at(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -352,6 +373,119 @@ mod tests {
         assert_eq!(w.get(Band::High), 1);
         assert_eq!(w.get(Band::Normal), 5);
         assert_eq!(w.get(Band::Low), 1);
+    }
+
+    /// `service_step` as first written, every product and quotient in
+    /// `u128`: the reference the `u64` fast path must reproduce exactly.
+    fn service_step_u128(q: &mut [u64; BAND_COUNT], w: &[u64; BAND_COUNT], budget: u64) -> u64 {
+        let mut wsum: u64 = 0;
+        for i in 0..BAND_COUNT {
+            if q[i] > 0 {
+                wsum = wsum.saturating_add(w[i]);
+            }
+        }
+        if wsum == 0 || budget == 0 {
+            return 0;
+        }
+        let mut t_empty = u64::MAX;
+        for i in 0..BAND_COUNT {
+            if q[i] == 0 {
+                continue;
+            }
+            let prod = (q[i] as u128).saturating_mul(wsum as u128);
+            let t = prod.div_ceil(w[i] as u128);
+            t_empty = t_empty.min(u64::try_from(t).unwrap_or(u64::MAX));
+        }
+        let step = budget.min(t_empty);
+        let mut served = [0u64; BAND_COUNT];
+        let mut used = 0u64;
+        for i in 0..BAND_COUNT {
+            if q[i] == 0 {
+                continue;
+            }
+            let share = (step as u128).saturating_mul(w[i] as u128) / wsum as u128;
+            let s = u64::try_from(share).unwrap_or(u64::MAX).min(q[i]);
+            served[i] = s;
+            used = used.saturating_add(s);
+        }
+        let mut left = step.saturating_sub(used);
+        for i in 0..BAND_COUNT {
+            if left == 0 {
+                break;
+            }
+            let room = q[i].saturating_sub(served[i]);
+            let extra = left.min(room);
+            served[i] = served[i].saturating_add(extra);
+            left = left.saturating_sub(extra);
+        }
+        for i in 0..BAND_COUNT {
+            q[i] = q[i].saturating_sub(served[i]);
+        }
+        step
+    }
+
+    fn assert_step_matches(q: [u64; BAND_COUNT], w: [u64; BAND_COUNT], budget: u64) {
+        let w = *BandWeights::new(w).raw();
+        let (mut fast, mut wide) = (q, q);
+        let a = service_step(&mut fast, &w, budget);
+        let b = service_step_u128(&mut wide, &w, budget);
+        assert_eq!((a, fast), (b, wide), "q={q:?} w={w:?} budget={budget}");
+    }
+
+    fn backlog() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            2 => Just(0u64),
+            4 => 1u64..100_000,
+            3 => any::<u64>(),
+            1 => (u64::MAX - 64)..u64::MAX,
+        ]
+    }
+
+    fn weight() -> impl Strategy<Value = u64> {
+        prop_oneof![4 => 0u64..16, 1 => any::<u64>()]
+    }
+
+    fn budget() -> impl Strategy<Value = u64> {
+        prop_oneof![3 => 0u64..1_000_000, 1 => Just(u64::MAX), 1 => any::<u64>()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_048))]
+
+        /// The `u64` fast path serves exactly what the all-`u128` formula
+        /// serves, over backlogs and weights from tiny to `u64::MAX`.
+        #[test]
+        fn service_step_matches_u128_formula(
+            q in (backlog(), backlog(), backlog()),
+            w in (weight(), weight(), weight()),
+            budget in budget(),
+        ) {
+            assert_step_matches([q.0, q.1, q.2], [w.0, w.1, w.2], budget);
+        }
+
+        /// Backlogs ≥ 2^61 against weights ≥ 8: every `q · wsum` product
+        /// overflows `u64`, so each case runs the `u128` fallback.
+        #[test]
+        fn overflowing_products_match_u128_formula(
+            q in ((1u64 << 61)..u64::MAX, (1u64 << 61)..u64::MAX, 0u64..u64::MAX),
+            w in (8u64..64, 8u64..64, 8u64..64),
+            budget in budget(),
+        ) {
+            assert_step_matches([q.0, q.1, q.2], [w.0, w.1, w.2], budget);
+        }
+    }
+
+    #[test]
+    fn overflow_fallback_is_exact() {
+        // 2^62 · wsum(12) overflows u64. Band 0 empties first, after
+        // ⌈2^62 · 12 / 8⌉ = 3 · 2^61 ns; over that step band 0 gets 8/12
+        // of the wire (2^62, all of it) and band 1 gets 4/12 (2^61).
+        assert!((1u64 << 62).checked_mul(12).is_none());
+        let mut q = [1u64 << 62, 1u64 << 62, 0];
+        let step = service_step(&mut q, &[8, 4, 1], u64::MAX);
+        assert_eq!(step, 3 << 61);
+        assert_eq!(q, [0, 1 << 61, 0]);
+        assert_step_matches([1 << 62, 1 << 62, 0], [8, 4, 1], u64::MAX);
     }
 
     #[test]
