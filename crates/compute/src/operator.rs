@@ -16,11 +16,26 @@
 //! order** at the requester, so a plan that ships some stripes and fetches
 //! the rest produces byte-identical output to an all-fetch reference.
 //!
+//! A stripe is folded as the runs a borrowed pool read yields
+//! ([`LogicalPool::read_runs`](lmp_core::pool::LogicalPool::read_runs)),
+//! never copied into a stripe buffer.
+//! Each kernel picks the operator and predicate once per run and then
+//! loops without dispatch: counts, sums and min/max keep four independent
+//! accumulators (baseline x86-64 has no 64-bit vector compare, so one
+//! accumulator is one long dependency chain), a filter writes every
+//! element into a fixed stack block and advances by the predicate's 0/1
+//! instead of branching, and top-k keeps a bounded min-heap of k
+//! candidates, O(n log k), instead of sorting the stripe.
+//! [`reference`](mod@reference) keeps the whole-buffer originals as the
+//! test oracle.
+//!
 //! This module is on the lmp-lint R3 no-panic list: merges surface
 //! mismatched partials as [`PoolError::Internal`] instead of panicking.
 
 use crate::ship::ReduceOp;
 use lmp_core::prelude::PoolError;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A total predicate over u64 elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,11 +93,107 @@ pub enum OpOutput {
 /// Iterate a byte slice as little-endian u64 elements; a tail shorter than
 /// 8 bytes is ignored (stripes address whole elements only).
 fn elements(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    // chunks_exact(8) yields exactly-8-byte windows, so the fallback arm
-    // of unwrap_or is unreachable and the conversion is total.
-    bytes
-        .chunks_exact(8)
-        .map(|w| u64::from_le_bytes(w.try_into().unwrap_or([0u8; 8])))
+    bytes.chunks_exact(8).map(le)
+}
+
+/// One little-endian u64 from an 8-byte window.
+#[inline]
+fn le(w: &[u8]) -> u64 {
+    // Callers pass exactly-8-byte windows, so the fallback arm of unwrap_or
+    // is unreachable and the conversion is total.
+    u64::from_le_bytes(w.try_into().unwrap_or([0u8; 8]))
+}
+
+/// Fold the whole elements of `run` into four independent accumulators
+/// with `step`, then join them with `join`. `step` and `join` must make
+/// the result independent of which accumulator saw which element (true of
+/// counts, wrapping sums, min and max), so it equals a sequential fold.
+#[inline]
+pub(crate) fn fold_lanes(
+    run: &[u8],
+    init: u64,
+    step: impl Fn(u64, u64) -> u64,
+    join: impl Fn(u64, u64) -> u64,
+) -> u64 {
+    let mut blocks = run.chunks_exact(32);
+    let mut acc = [init; 4];
+    for b in &mut blocks {
+        acc[0] = step(acc[0], le(&b[0..8]));
+        acc[1] = step(acc[1], le(&b[8..16]));
+        acc[2] = step(acc[2], le(&b[16..24]));
+        acc[3] = step(acc[3], le(&b[24..32]));
+    }
+    let whole = join(join(acc[0], acc[1]), join(acc[2], acc[3]));
+    elements(blocks.remainder()).fold(whole, step)
+}
+
+/// Count the elements of `run` that `keep` accepts.
+#[inline]
+fn count(run: &[u8], keep: impl Fn(u64) -> bool) -> u64 {
+    fold_lanes(run, 0, |n, v| n + u64::from(keep(v)), |a, b| a + b)
+}
+
+/// Elements a filter stages on the stack before appending them.
+const FILTER_BLOCK: usize = 64;
+
+/// Append the elements of `run` that `keep` accepts to `rows`, in order.
+/// Every element is written to the stack block and the fill advances by
+/// the predicate's 0/1, so there is no data-dependent branch to mispredict.
+#[inline]
+fn filter(run: &[u8], keep: impl Fn(u64) -> bool, rows: &mut Vec<u64>) {
+    let mut block = [0u64; FILTER_BLOCK];
+    for bytes in run.chunks(8 * FILTER_BLOCK) {
+        let mut n = 0;
+        for v in elements(bytes) {
+            block[n] = v;
+            n += usize::from(keep(v));
+        }
+        rows.extend_from_slice(&block[..n]);
+    }
+}
+
+/// Offer the elements of `run` to `heap`, a min-heap of the `k` largest
+/// elements seen so far. Once the heap is full, an element costs one
+/// compare against the least candidate unless it replaces it.
+fn top(run: &[u8], k: usize, heap: &mut BinaryHeap<Reverse<u64>>) {
+    let mut rest = elements(run);
+    while heap.len() < k {
+        match rest.next() {
+            Some(v) => heap.push(Reverse(v)),
+            None => return,
+        }
+    }
+    let Some(mut least) = heap.peek().map(|r| r.0) else {
+        return;
+    };
+    for v in rest {
+        if v > least {
+            if let Some(mut slot) = heap.peek_mut() {
+                *slot = Reverse(v);
+            }
+            least = heap.peek().map_or(v, |r| r.0);
+        }
+    }
+}
+
+impl Predicate {
+    /// Matching elements of one run, dispatching on the predicate once.
+    fn count(self, run: &[u8]) -> u64 {
+        match self {
+            Predicate::Greater(t) => count(run, |v| v > t),
+            Predicate::Less(t) => count(run, |v| v < t),
+            Predicate::EqMasked { mask, value } => count(run, |v| v & mask == value),
+        }
+    }
+
+    /// Append one run's matching elements to `rows`, dispatching once.
+    fn filter(self, run: &[u8], rows: &mut Vec<u64>) {
+        match self {
+            Predicate::Greater(t) => filter(run, |v| v > t, rows),
+            Predicate::Less(t) => filter(run, |v| v < t, rows),
+            Predicate::EqMasked { mask, value } => filter(run, |v| v & mask == value, rows),
+        }
+    }
 }
 
 impl Operator {
@@ -96,27 +207,40 @@ impl Operator {
         }
     }
 
-    /// Execute over one stripe's bytes.
-    pub fn execute(&self, bytes: &[u8]) -> OpOutput {
+    /// Fold one stripe, given as its runs in address order, into the
+    /// stripe's partial, one run at a time. Every run but the last must
+    /// hold whole elements; the last may end in a 1–7-byte tail, which is
+    /// ignored. The result equals [`reference::execute`] on the
+    /// concatenated runs.
+    pub fn fold<'a>(&self, runs: impl IntoIterator<Item = &'a [u8]>) -> OpOutput {
+        let runs = runs.into_iter();
         match *self {
-            Operator::Aggregate(op) => OpOutput::Scalar(op.fold_bytes(bytes)),
-            Operator::Count(p) => {
-                OpOutput::Scalar(elements(bytes).filter(|&v| p.matches(v)).count() as u64)
-            }
+            Operator::Aggregate(op) => OpOutput::Scalar(runs.fold(op.identity(), |acc, run| {
+                op.combine(acc, op.fold_bytes(run))
+            })),
+            Operator::Count(p) => OpOutput::Scalar(runs.map(|run| p.count(run)).sum()),
             Operator::Filter(p) => {
-                OpOutput::Rows(elements(bytes).filter(|&v| p.matches(v)).collect())
+                let mut rows = Vec::new();
+                for run in runs {
+                    p.filter(run, &mut rows);
+                }
+                OpOutput::Rows(rows)
             }
             Operator::TopK(k) => {
-                let mut all: Vec<u64> = elements(bytes).collect();
-                all.sort_unstable_by(|a, b| b.cmp(a));
-                all.truncate(k as usize);
-                OpOutput::Top(all)
+                let k = k as usize;
+                let mut heap = BinaryHeap::with_capacity(k);
+                for run in runs {
+                    top(run, k, &mut heap);
+                }
+                // Ascending `Reverse` order is descending element order.
+                OpOutput::Top(heap.into_sorted_vec().into_iter().map(|r| r.0).collect())
             }
         }
     }
 
     /// Merge two partials. `a` must precede `b` in logical stripe order —
-    /// filter rows concatenate, so merge order is part of the result.
+    /// filter rows concatenate, so merge order is part of the result. Top-k
+    /// partials must be descending, as [`OpOutput::Top`] promises.
     ///
     /// # Errors
     /// [`PoolError::Internal`] when the partial variants do not match the
@@ -130,15 +254,38 @@ impl Operator {
             (Operator::Count(_), OpOutput::Scalar(x), OpOutput::Scalar(y)) => {
                 Ok(OpOutput::Scalar(x.wrapping_add(y)))
             }
+            (Operator::Filter(_), OpOutput::Rows(x), OpOutput::Rows(y)) if x.is_empty() => {
+                Ok(OpOutput::Rows(y))
+            }
             (Operator::Filter(_), OpOutput::Rows(mut x), OpOutput::Rows(y)) => {
-                x.extend(y);
+                x.reserve_exact(y.len());
+                x.extend_from_slice(&y);
                 Ok(OpOutput::Rows(x))
             }
-            (Operator::TopK(k), OpOutput::Top(mut x), OpOutput::Top(y)) => {
-                x.extend(y);
-                x.sort_unstable_by(|a, b| b.cmp(a));
-                x.truncate(*k as usize);
-                Ok(OpOutput::Top(x))
+            (Operator::TopK(k), OpOutput::Top(x), OpOutput::Top(y)) => {
+                // Both inputs are descending: merge their heads.
+                let k = *k as usize;
+                let mut out = Vec::with_capacity(k.min(x.len() + y.len()));
+                let (mut i, mut j) = (0, 0);
+                while out.len() < k {
+                    let v = match (x.get(i), y.get(j)) {
+                        (Some(&a), Some(&b)) if a >= b => {
+                            i += 1;
+                            a
+                        }
+                        (_, Some(&b)) => {
+                            j += 1;
+                            b
+                        }
+                        (Some(&a), None) => {
+                            i += 1;
+                            a
+                        }
+                        (None, None) => break,
+                    };
+                    out.push(v);
+                }
+                Ok(OpOutput::Top(out))
             }
             _ => Err(PoolError::Internal("operator partial variant mismatch")),
         }
@@ -173,12 +320,67 @@ impl Operator {
     }
 }
 
+/// The whole-buffer operators as first written, kept as a reference model.
+pub mod reference {
+    use super::{elements, OpOutput, Operator};
+    use lmp_core::prelude::PoolError;
+
+    /// Execute `op` over one stripe's bytes in one pass: the executable
+    /// specification [`Operator::fold`] is tested against. Top-k sorts the
+    /// whole stripe.
+    pub fn execute(op: &Operator, bytes: &[u8]) -> OpOutput {
+        match *op {
+            Operator::Aggregate(op) => {
+                OpOutput::Scalar(elements(bytes).fold(op.identity(), |acc, v| op.combine(acc, v)))
+            }
+            Operator::Count(p) => {
+                OpOutput::Scalar(elements(bytes).filter(|&v| p.matches(v)).count() as u64)
+            }
+            Operator::Filter(p) => {
+                OpOutput::Rows(elements(bytes).filter(|&v| p.matches(v)).collect())
+            }
+            Operator::TopK(k) => {
+                let mut all: Vec<u64> = elements(bytes).collect();
+                all.sort_unstable_by(|a, b| b.cmp(a));
+                all.truncate(k as usize);
+                OpOutput::Top(all)
+            }
+        }
+    }
+
+    /// Merge two partials by concatenation, sorting for top-k: the
+    /// specification [`Operator::merge`] is tested against.
+    ///
+    /// # Errors
+    /// [`PoolError::Internal`] when the partial variants do not match `op`.
+    pub fn merge(op: &Operator, a: OpOutput, b: OpOutput) -> Result<OpOutput, PoolError> {
+        match (op, a, b) {
+            (Operator::TopK(k), OpOutput::Top(mut x), OpOutput::Top(y)) => {
+                x.extend(y);
+                x.sort_unstable_by(|a, b| b.cmp(a));
+                x.truncate(*k as usize);
+                Ok(OpOutput::Top(x))
+            }
+            (Operator::Filter(_), OpOutput::Rows(mut x), OpOutput::Rows(y)) => {
+                x.extend(y);
+                Ok(OpOutput::Rows(x))
+            }
+            (op, a, b) => op.merge(a, b),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn pack(vals: &[u64]) -> Vec<u8> {
         vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    /// Fold one stripe given as a single run.
+    fn exec(op: Operator, bytes: &[u8]) -> OpOutput {
+        op.fold([bytes])
     }
 
     #[test]
@@ -193,8 +395,8 @@ mod tests {
     #[test]
     fn filter_preserves_scan_order_across_merges() {
         let op = Operator::Filter(Predicate::Greater(10));
-        let a = op.execute(&pack(&[5, 20, 30]));
-        let b = op.execute(&pack(&[40, 1, 50]));
+        let a = exec(op, &pack(&[5, 20, 30]));
+        let b = exec(op, &pack(&[40, 1, 50]));
         let merged = op.merge(a, b).unwrap();
         assert_eq!(merged, OpOutput::Rows(vec![20, 30, 40, 50]));
     }
@@ -202,9 +404,9 @@ mod tests {
     #[test]
     fn topk_truncates_and_merges() {
         let op = Operator::TopK(3);
-        let a = op.execute(&pack(&[9, 1, 7, 3]));
+        let a = exec(op, &pack(&[9, 1, 7, 3]));
         assert_eq!(a, OpOutput::Top(vec![9, 7, 3]));
-        let b = op.execute(&pack(&[8, 2]));
+        let b = exec(op, &pack(&[8, 2]));
         let merged = op.merge(a, b).unwrap();
         assert_eq!(merged, OpOutput::Top(vec![9, 8, 7]));
     }
@@ -213,11 +415,11 @@ mod tests {
     fn count_and_aggregate_are_scalar() {
         let data = pack(&[5, 15, 25]);
         assert_eq!(
-            Operator::Count(Predicate::Greater(10)).execute(&data),
+            exec(Operator::Count(Predicate::Greater(10)), &data),
             OpOutput::Scalar(2)
         );
         assert_eq!(
-            Operator::Aggregate(ReduceOp::Sum).execute(&data),
+            exec(Operator::Aggregate(ReduceOp::Sum), &data),
             OpOutput::Scalar(45)
         );
     }
@@ -231,7 +433,7 @@ mod tests {
             Operator::Filter(Predicate::Greater(5)),
             Operator::TopK(2),
         ] {
-            let x = op.execute(&data);
+            let x = exec(op, &data);
             assert_eq!(op.merge(op.identity(), x.clone()).unwrap(), x);
         }
     }
@@ -262,7 +464,7 @@ mod tests {
         let mut data = pack(&[42, 99]);
         data.extend_from_slice(&[1, 2, 3]); // 3-byte tail
         assert_eq!(
-            Operator::Count(Predicate::Greater(0)).execute(&data),
+            exec(Operator::Count(Predicate::Greater(0)), &data),
             OpOutput::Scalar(2)
         );
     }

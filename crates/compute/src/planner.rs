@@ -29,8 +29,10 @@
 //!   idle link.
 //!
 //! Execution resolves every segment against the **live** pool mapping
-//! (plans outlive balancer migrations and post-crash promotions); each
-//! plan-to-execute relocation bumps `compute.stale_holder`. Fetched and
+//! (plans outlive balancer migrations and post-crash promotions) and
+//! checks every leg before it charges anything; each plan-to-execute
+//! relocation then bumps `compute.stale_holder`. The result is folded
+//! from borrowed frame runs of each stripe, never a copy. Fetched and
 //! requester-local segments share a single [`scan_ranges`] core budget —
 //! the batched-fetch baseline — while each remote holder runs its shipped
 //! segments under its own budget and returns one result message, charged
@@ -299,9 +301,16 @@ impl Planner {
     /// [`PushdownOutcome::stale_holders`] and `compute.stale_holder`), so
     /// a plan raced by the balancer stays correct, merely mispredicted.
     ///
+    /// Every leg is checked before the first scan, so a failed execute
+    /// charges no model and counts no relocation.
+    ///
     /// # Errors
-    /// [`PoolError::UnknownSegment`] for freed segments, plus any scan or
-    /// fabric error surfaced by the underlying engines.
+    /// [`PoolError::UnknownSegment`] for freed segments;
+    /// [`PoolError::SegmentLost`] for a crashed holder, or a fetched
+    /// segment's holder whose port is down; [`PoolError::ServerDown`] for a
+    /// crashed or cut-off requester, or a shipped segment's holder whose
+    /// port is down; [`PoolError::InvalidRequest`] for zero scan cores or
+    /// chunk size.
     #[allow(clippy::too_many_arguments)]
     pub fn execute(
         &self,
@@ -312,28 +321,42 @@ impl Planner {
         op: Operator,
         plan: &Plan,
     ) -> Result<(OpOutput, PushdownOutcome), PoolError> {
-        // Re-resolve against the live mapping.
+        // Re-resolve against the live mapping and check every leg before
+        // anything is charged or counted, so a failed execute leaves the
+        // rack as it found it.
+        self.params.check()?;
         let mut live = Vec::with_capacity(plan.segments.len());
-        let mut stale = 0u32;
         for sp in &plan.segments {
             let holder = pool
                 .holder_of(sp.seg)
                 .ok_or(PoolError::UnknownSegment(sp.seg))?;
+            let shipped = sp.choice == Choice::Ship && holder != requester;
+            check_leg(pool, fabric, requester, holder, sp.seg, shipped)?;
+            live.push(holder);
+        }
+
+        // The result value is choice-independent: per-segment partials in
+        // logical stripe order, folded from borrowed runs.
+        let mut partials = Vec::with_capacity(plan.segments.len());
+        for sp in &plan.segments {
+            partials.push(op.fold(pool.read_runs(LogicalAddr::new(sp.seg, 0), sp.len)?));
+        }
+
+        // Every leg passed its checks, so the scans below cannot fail:
+        // count the relocations now. Partition: anything not shipped — or
+        // "shipped" to a stripe that now lives on the requester — joins the
+        // one batched fetch scan.
+        let mut stale = 0u32;
+        let mut fetch_ranges: Vec<(SegmentId, u64, u64)> = Vec::new();
+        let mut fetched = 0u32;
+        let mut ship_stripes: Vec<(NodeId, SegmentId, u64)> = Vec::new();
+        for (sp, &holder) in plan.segments.iter().zip(&live) {
             if holder != sp.holder {
                 stale += 1;
                 if let Some(t) = pool.telemetry_mut() {
                     t.note_stale_holder();
                 }
             }
-            live.push(holder);
-        }
-
-        // Partition: anything not shipped — or "shipped" to a stripe that
-        // now lives on the requester — joins the one batched fetch scan.
-        let mut fetch_ranges: Vec<(SegmentId, u64, u64)> = Vec::new();
-        let mut fetched = 0u32;
-        let mut ship_stripes: Vec<(NodeId, SegmentId, u64)> = Vec::new();
-        for (sp, &holder) in plan.segments.iter().zip(&live) {
             let shipped = sp.choice == Choice::Ship && holder != requester;
             if shipped {
                 ship_stripes.push((holder, sp.seg, sp.len));
@@ -352,14 +375,6 @@ impl Planner {
             fetched_segments: fetched,
             stale_holders: stale,
         };
-
-        // The result value is choice-independent: per-segment partials in
-        // logical stripe order, merged left to right.
-        let mut partials = Vec::with_capacity(plan.segments.len());
-        for sp in &plan.segments {
-            let bytes = pool.read_bytes(LogicalAddr::new(sp.seg, 0), sp.len)?;
-            partials.push(op.execute(&bytes));
-        }
 
         // Timing: the shared fetch scan at the requester…
         if !fetch_ranges.is_empty() {
@@ -409,6 +424,37 @@ impl Planner {
         let (out, outcome) = self.execute(pool, fabric, now, requester, op, &plan)?;
         Ok((out, plan, outcome))
     }
+}
+
+/// Fail, charging nothing, when one segment's leg of an execution cannot
+/// run: its holder has crashed, or, for a remote leg, the requester has
+/// crashed or either end's fabric port is down. The errors are the ones
+/// the scan or the shipped result would have hit.
+fn check_leg(
+    pool: &LogicalPool,
+    fabric: &Fabric,
+    requester: NodeId,
+    holder: NodeId,
+    seg: SegmentId,
+    shipped: bool,
+) -> Result<(), PoolError> {
+    if pool.node(holder).is_failed() {
+        return Err(PoolError::SegmentLost(seg));
+    }
+    if holder == requester {
+        return Ok(());
+    }
+    if pool.node(requester).is_failed() || fabric.is_port_down(requester) {
+        return Err(PoolError::ServerDown(requester));
+    }
+    if fabric.is_port_down(holder) {
+        return Err(if shipped {
+            PoolError::ServerDown(holder)
+        } else {
+            PoolError::SegmentLost(seg)
+        });
+    }
+    Ok(())
 }
 
 /// All-fetch reference: every segment through the batched scan engine,
@@ -569,6 +615,50 @@ mod tests {
         assert_eq!(outcome.fetched_segments, 1);
         assert_eq!(outcome.stale_holders, 1);
         assert_eq!(outcome.fabric_bytes, 8, "one result message, no data moved");
+    }
+
+    #[test]
+    fn failed_execute_charges_nothing() {
+        // Regression: a shipped leg whose holder port was down failed only
+        // after the requester's local scan, every holder's scan and two
+        // result messages had been charged.
+        let (mut p, mut f) = setup(16);
+        p.attach_telemetry();
+        let servers: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let v = DistVector::stripe_even(&mut p, 16 * FRAME_BYTES, &servers).unwrap();
+        let op = Operator::Count(Predicate::Greater(0));
+        let planner = Planner::new(ScanParams::default(), 0.0);
+        let plan = planner
+            .plan(&mut p, &f, SimTime::ZERO, NodeId(0), &v, op)
+            .unwrap();
+        let choices: Vec<Choice> = plan.segments.iter().map(|s| s.choice).collect();
+        assert_eq!(
+            choices,
+            [Choice::Local, Choice::Ship, Choice::Ship, Choice::Ship]
+        );
+        f.set_port_down(NodeId(3), true);
+        let state = |p: &mut LogicalPool, f: &mut Fabric| {
+            let dram: Vec<u64> = servers
+                .iter()
+                .map(|&n| p.node(n).dram().access_count())
+                .collect();
+            let snap = rack_snapshot(p, f, SimTime::ZERO).to_json();
+            (f.write_count(), dram, p.access_counts(), snap)
+        };
+        let before = state(&mut p, &mut f);
+        assert_eq!((before.0, &before.1, before.2), (0, &vec![0; 4], (0, 0)));
+        let e = planner.execute(&mut p, &mut f, SimTime::ZERO, NodeId(0), op, &plan);
+        assert_eq!(e.unwrap_err(), PoolError::ServerDown(NodeId(3)));
+        assert_eq!(state(&mut p, &mut f), before);
+
+        // A stripe relocated since planning is not counted stale either.
+        let (_, seg, _) = v.stripes[1];
+        lmp_core::migrate::migrate_segment(&mut p, &mut f, SimTime::ZERO, seg, NodeId(2)).unwrap();
+        let before = state(&mut p, &mut f);
+        let e = planner.execute(&mut p, &mut f, SimTime::ZERO, NodeId(0), op, &plan);
+        assert_eq!(e.unwrap_err(), PoolError::ServerDown(NodeId(3)));
+        assert_eq!(state(&mut p, &mut f), before);
+        assert_eq!(p.telemetry().unwrap().stale_holders(), 0);
     }
 
     #[test]

@@ -47,6 +47,17 @@ impl ScanParams {
             ..Self::default()
         }
     }
+
+    /// [`PoolError::InvalidRequest`] for zero cores or a zero chunk size.
+    pub(crate) fn check(&self) -> Result<(), PoolError> {
+        if self.cores == 0 {
+            return Err(PoolError::InvalidRequest("scan needs at least one core"));
+        }
+        if self.chunk == 0 {
+            return Err(PoolError::InvalidRequest("scan needs a nonzero chunk size"));
+        }
+        Ok(())
+    }
 }
 
 /// Outcome of one scan.
@@ -125,13 +136,8 @@ pub fn scan_ranges(
     ranges: &[(SegmentId, u64, u64)],
     params: ScanParams,
 ) -> Result<ScanOutcome, PoolError> {
+    params.check()?;
     let ScanParams { cores, chunk, per_core } = params;
-    if cores == 0 {
-        return Err(PoolError::InvalidRequest("scan needs at least one core"));
-    }
-    if chunk == 0 {
-        return Err(PoolError::InvalidRequest("scan needs a nonzero chunk size"));
-    }
     let total: u64 = ranges.iter().map(|r| r.2).sum();
     let mut outcome = ScanOutcome {
         complete: start,

@@ -19,6 +19,7 @@
 //! [`ReduceOutcome::stale_holders`], and any bytes a supposedly-local
 //! shipped scan still pulls across the fabric are charged honestly.
 
+use crate::operator::fold_lanes;
 use crate::placement::DistVector;
 use crate::scan::{scan_ranges, ScanParams};
 use lmp_core::prelude::*;
@@ -59,14 +60,12 @@ impl ReduceOp {
     /// Fold a byte slice as little-endian u64 elements (the tail shorter
     /// than 8 bytes is ignored, matching an element-aligned vector).
     pub fn fold_bytes(self, bytes: &[u8]) -> u64 {
-        let mut acc = self.identity();
-        for w in bytes.chunks_exact(8) {
-            // chunks_exact(8) yields exactly-8-byte windows, so the
-            // fallback arm is unreachable and the conversion is total.
-            let v = u64::from_le_bytes(w.try_into().unwrap_or([0u8; 8]));
-            acc = self.combine(acc, v);
+        let id = self.identity();
+        match self {
+            ReduceOp::Sum => fold_lanes(bytes, id, u64::wrapping_add, u64::wrapping_add),
+            ReduceOp::Min => fold_lanes(bytes, id, u64::min, u64::min),
+            ReduceOp::Max => fold_lanes(bytes, id, u64::max, u64::max),
         }
-        acc
     }
 }
 
@@ -279,7 +278,7 @@ pub fn run_task(
 }
 
 /// Compute the actual reduction value from materialized stripe contents
-/// (correctness path, no timing).
+/// (correctness path, no timing), scanning each stripe as borrowed runs.
 pub fn reduce_value(
     pool: &LogicalPool,
     vector: &DistVector,
@@ -287,8 +286,9 @@ pub fn reduce_value(
 ) -> Result<u64, PoolError> {
     let mut acc = op.identity();
     for (_, seg, len) in &vector.stripes {
-        let bytes = pool.read_bytes(LogicalAddr::new(*seg, 0), *len)?;
-        acc = op.combine(acc, op.fold_bytes(&bytes));
+        for run in pool.read_runs(LogicalAddr::new(*seg, 0), *len)? {
+            acc = op.combine(acc, op.fold_bytes(run));
+        }
     }
     Ok(acc)
 }

@@ -1,0 +1,169 @@
+// Test code: unwrap/expect on known-good setup is acceptable here.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+//! Differential equivalence tests: the streaming operator fold and merges
+//! against the whole-buffer reference model.
+//!
+//! The reference ([`reference::execute`] and [`reference::merge`]) is the
+//! operator set as first written: one pass over a whole stripe buffer, a
+//! full sort for top-k, and concatenate-then-sort merges. These tests cut
+//! random stripes into random element-aligned runs, fold the runs with
+//! [`Operator::fold`], and assert that every stripe's partial, and every
+//! stripe-order merge of partials, equals the reference's exactly. Any
+//! divergence would change a pushdown result, and with it every digest
+//! that folds one.
+
+use lmp_compute::operator::reference;
+use lmp_compute::{OpOutput, Operator, Predicate, ReduceOp};
+use proptest::prelude::*;
+
+/// Value ranges: the full `u64` range (0), or values modulo a small
+/// number, which makes duplicates common.
+const MODULI: [u64; 4] = [0, 2, 7, 64];
+
+/// One generated stripe: element values, tail length, run cut points.
+type RawStripe = (Vec<u64>, u8, Vec<u64>);
+
+/// A stripe's bytes and its runs' byte boundaries (element-aligned).
+fn stripe(raw: &RawStripe, modulus: u64, order: u8, tail: u64) -> (Vec<u8>, Vec<usize>) {
+    let (vals, tail_len, cuts) = raw;
+    let mut vals: Vec<u64> = vals
+        .iter()
+        .map(|&v| if modulus == 0 { v } else { v % modulus })
+        .collect();
+    match order {
+        1 => vals.sort_unstable(),
+        2 => vals.sort_unstable_by(|a, b| b.cmp(a)),
+        _ => {}
+    }
+    let mut bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+    // A 1–7-byte tail (or none) that no operator may read as an element.
+    bytes.extend_from_slice(&tail.to_le_bytes()[..usize::from(*tail_len % 8)]);
+    let mut bounds: Vec<usize> = cuts
+        .iter()
+        .map(|&c| (c as usize % (vals.len() + 1)) * 8)
+        .collect();
+    bounds.sort_unstable();
+    (bytes, bounds)
+}
+
+/// The runs of `bytes` between `bounds`; repeated bounds give empty runs.
+fn runs<'a>(bytes: &'a [u8], bounds: &[usize]) -> Vec<&'a [u8]> {
+    let mut out = Vec::with_capacity(bounds.len() + 1);
+    let mut at = 0;
+    for &b in bounds {
+        out.push(&bytes[at..b]);
+        at = b;
+    }
+    out.push(&bytes[at..]);
+    out
+}
+
+/// Every operator under test: Sum, Min and Max; Count and Filter under all
+/// three predicates; TopK with k = 0, 1, n − 1, n and n + 5.
+fn operators(pick: u64, mask: u64, modulus: u64, n: usize) -> Vec<Operator> {
+    let t = if modulus == 0 { pick } else { pick % modulus };
+    let mut ops = vec![
+        Operator::Aggregate(ReduceOp::Sum),
+        Operator::Aggregate(ReduceOp::Min),
+        Operator::Aggregate(ReduceOp::Max),
+    ];
+    for p in [
+        Predicate::Greater(t),
+        Predicate::Less(t),
+        Predicate::EqMasked {
+            mask,
+            value: t & mask,
+        },
+    ] {
+        ops.push(Operator::Count(p));
+        ops.push(Operator::Filter(p));
+    }
+    for k in [0, 1, n.saturating_sub(1), n, n + 5] {
+        ops.push(Operator::TopK(k as u32));
+    }
+    ops
+}
+
+fn check(stripes: &[RawStripe], range: usize, order: u8, pick: u64, mask: u64) {
+    let modulus = MODULI[range % MODULI.len()];
+    let built: Vec<(Vec<u8>, Vec<usize>)> = stripes
+        .iter()
+        .map(|s| stripe(s, modulus, order, pick))
+        .collect();
+    let n = stripes[0].0.len();
+    for op in operators(pick, mask, modulus, n) {
+        let mut merged = op.identity();
+        let mut want = op.identity();
+        for (i, (bytes, bounds)) in built.iter().enumerate() {
+            let part = op.fold(runs(bytes, bounds));
+            let expect = reference::execute(&op, bytes);
+            prop_assert_eq!(
+                &part,
+                &expect,
+                "{:?} partial of stripe {} ({:?})",
+                op,
+                i,
+                bounds
+            );
+            merged = op.merge(merged, part).unwrap();
+            want = reference::merge(&op, want, expect).unwrap();
+            prop_assert_eq!(&merged, &want, "{:?} merge through stripe {}", op, i);
+        }
+        if let (Operator::TopK(k), OpOutput::Top(top)) = (op, &merged) {
+            let total: usize = stripes.iter().map(|s| s.0.len()).sum();
+            prop_assert_eq!(top.len(), total.min(k as usize));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random stripes, cut into random element-aligned runs, fold to the
+    /// reference's partials and merge to its results, stripe by stripe.
+    #[test]
+    fn fold_and_merge_match_the_reference(
+        stripes in proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<u64>(), 0..300),
+                any::<u8>(),
+                proptest::collection::vec(any::<u64>(), 0..6),
+            ),
+            1..5,
+        ),
+        range in 0usize..4,
+        order in 0u8..3,
+        pick in any::<u64>(),
+        mask in any::<u64>(),
+    ) {
+        check(&stripes, range, order, pick, mask);
+    }
+}
+
+/// Hand-picked edges: empty stripes, a tail-only stripe, one element, and
+/// runs that split exactly at the filter's stack-block and lane edges.
+#[test]
+fn edge_stripes_match_the_reference() {
+    let seq: Vec<u64> = (0..200).collect();
+    let cases: Vec<Vec<RawStripe>> = vec![
+        vec![(vec![], 0, vec![])],
+        vec![(vec![], 7, vec![0, 0])],
+        vec![(vec![u64::MAX], 3, vec![1])],
+        vec![
+            (seq.clone(), 0, vec![4, 64, 128]),
+            (seq.clone(), 5, vec![63, 65]),
+        ],
+        vec![
+            (vec![5; 130], 1, vec![3, 67]),
+            (vec![], 0, vec![]),
+            (seq, 0, vec![]),
+        ],
+    ];
+    for stripes in &cases {
+        for order in 0..3 {
+            check(stripes, 0, order, 100, 0xf0);
+            check(stripes, 3, order, 100, 0x3);
+        }
+    }
+}

@@ -75,14 +75,14 @@ pub fn migrate_segment(
             requested_frames: n,
         })?;
 
-    // Pull every frame across the fabric (timing) and copy contents
-    // (correctness).
+    // Pull every frame across the fabric (timing) and move its contents
+    // (correctness): the simulator hands the backing over instead of
+    // copying it, since the source frame is freed below.
     let mut complete = now;
     {
         let (src_node, dst_node) = pool.two_nodes(src, dst);
         for (sf, df) in src_frames.iter().zip(dst_frames.iter()) {
-            let data = src_node.read_frame(*sf);
-            dst_node.write_frame(*df, &data);
+            src_node.move_frame(*sf, dst_node, *df);
             let fc = fabric.read(now, dst, src, FRAME_BYTES);
             // Source DRAM read + destination DRAM write also occupy time.
             let sd = src_node.access(now, FRAME_BYTES, dst.0, false, Some(*sf));
@@ -151,6 +151,33 @@ mod tests {
         assert_eq!(p.read_bytes(addr, 14).unwrap(), b"pointer-stable");
         // Source frames were returned.
         assert_eq!(p.free_shared_frames(NodeId(0)), 8);
+    }
+
+    #[test]
+    fn migration_moves_frames_instead_of_copying_them() {
+        let (mut p, mut f) = setup();
+        let seg = p.alloc(3 * FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
+        // Frames 0 and 2 hold data; frame 1 stays unmaterialized.
+        p.write_bytes(LogicalAddr::new(seg, 3), b"first").unwrap();
+        p.write_bytes(LogicalAddr::new(seg, 3 * FRAME_BYTES - 4), b"last")
+            .unwrap();
+        let whole = LogicalAddr::new(seg, 0);
+        let before = p.read_bytes(whole, 3 * FRAME_BYTES).unwrap();
+        let materialized = |p: &LogicalPool| {
+            (0..3)
+                .map(|n| p.node(NodeId(n)).materialized_frames())
+                .sum::<usize>()
+        };
+        assert_eq!(materialized(&p), 2);
+
+        migrate_segment(&mut p, &mut f, SimTime::ZERO, seg, NodeId(2)).unwrap();
+        assert_eq!(p.read_bytes(whole, 3 * FRAME_BYTES).unwrap(), before);
+        // Moved, not copied: the rack holds as many materialized frames as
+        // before, all of them now on the destination.
+        assert_eq!(materialized(&p), 2);
+        assert_eq!(p.node(NodeId(2)).materialized_frames(), 2);
+        let frames = p.local_map(NodeId(2)).frames_of(seg);
+        assert_eq!(p.node(NodeId(2)).frame_bytes(frames[1]), None);
     }
 
     #[test]

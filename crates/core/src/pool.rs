@@ -12,7 +12,7 @@ use crate::batch::{BatchOp, BatchResult};
 use crate::observe::PoolTelemetry;
 use crate::translate::{GlobalMap, LocalMap, SegmentLoc, TranslationCache};
 use lmp_fabric::{Fabric, FabricError, MemOp, NodeId};
-use lmp_mem::{DramProfile, MemoryNode, RegionKind, FRAME_BYTES};
+use lmp_mem::{DramProfile, FrameId, MemoryNode, RegionKind, FRAME_BYTES};
 use lmp_qos::{AdmissionController, Band, TenantId, TenantRate};
 use lmp_sim::prelude::*;
 use std::collections::BTreeMap;
@@ -842,26 +842,52 @@ impl LogicalPool {
         Ok(())
     }
 
-    /// Materialized read of `len` bytes at `addr`.
-    pub fn read_bytes(&self, addr: LogicalAddr, len: u64) -> Result<Vec<u8>, PoolError> {
+    /// Borrowed read of `len` bytes at `addr`: the bytes as frame-bounded
+    /// runs in address order, borrowed from the holder's frames without a
+    /// copy. Bounds, the segment, the holder's liveness and every frame are
+    /// checked before the first run exists, so a read that fails yields
+    /// nothing. Unmaterialized frames read as zeros, lent in pieces of at
+    /// most 4 KiB. Runs start on the read's start and on frame boundaries
+    /// after it, so a read at an 8-aligned offset yields runs of whole
+    /// u64 elements except for a short tail at its end.
+    pub fn read_runs(&self, addr: LogicalAddr, len: u64) -> Result<ReadRuns<'_>, PoolError> {
         self.check_bounds(addr, len)?;
         let loc = self
             .global
             .peek(addr.segment)
             .ok_or(PoolError::UnknownSegment(addr.segment))?;
-        if self.nodes[loc.server.0 as usize].is_failed() {
+        let node = &self.nodes[loc.server.0 as usize];
+        if node.is_failed() {
             return Err(PoolError::SegmentLost(addr.segment));
         }
+        // In bounds, so `offset + len` cannot wrap.
+        let first = addr.frame_index() as usize;
+        let end = match len {
+            0 => first,
+            _ => (addr.offset + len).div_ceil(FRAME_BYTES) as usize,
+        };
+        let frames = self.locals[loc.server.0 as usize]
+            .frames_of(addr.segment)
+            .get(first..end)
+            .ok_or(PoolError::Internal(
+                "fine map missing frame of live segment",
+            ))?;
+        Ok(ReadRuns {
+            node,
+            frames: frames.iter(),
+            within: addr.frame_offset() as usize,
+            left: len as usize,
+            zeros: 0,
+        })
+    }
+
+    /// Materialized read of `len` bytes at `addr`: one allocation and one
+    /// copy of [`Self::read_runs`], allocated only after the read checks.
+    pub fn read_bytes(&self, addr: LogicalAddr, len: u64) -> Result<Vec<u8>, PoolError> {
+        let runs = self.read_runs(addr, len)?;
         let mut out = Vec::with_capacity(len as usize);
-        for (frame_idx, within, chunk) in frame_chunks(addr, len) {
-            let frame = self.locals[loc.server.0 as usize]
-                .resolve(addr.segment, frame_idx)
-                .ok_or(PoolError::Internal("fine map missing frame of live segment"))?;
-            out.extend(self.nodes[loc.server.0 as usize].read_bytes(
-                frame,
-                within,
-                chunk as usize,
-            ));
+        for run in runs {
+            out.extend_from_slice(run);
         }
         Ok(out)
     }
@@ -1032,6 +1058,43 @@ impl LogicalPool {
     }
 }
 
+/// Zeros lent out for unmaterialized frames.
+static ZEROS: [u8; 4096] = [0; 4096];
+
+/// The runs of one checked read, from [`LogicalPool::read_runs`].
+#[derive(Debug)]
+pub struct ReadRuns<'a> {
+    node: &'a MemoryNode,
+    /// The frames still to visit, in address order.
+    frames: std::slice::Iter<'a, FrameId>,
+    /// Where the read starts in the next frame: nonzero only in the first.
+    within: usize,
+    /// Bytes of frames not yet visited.
+    left: usize,
+    /// Zero bytes still owed from the unmaterialized frame being visited.
+    zeros: usize,
+}
+
+impl<'a> Iterator for ReadRuns<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.zeros == 0 {
+            let frame = *self.frames.next()?;
+            let within = std::mem::take(&mut self.within);
+            let chunk = self.left.min(FRAME_BYTES as usize - within);
+            self.left -= chunk;
+            match self.node.frame_bytes(frame) {
+                Some(backing) => return Some(&backing[within..within + chunk]),
+                None => self.zeros = chunk,
+            }
+        }
+        let n = self.zeros.min(ZEROS.len());
+        self.zeros -= n;
+        Some(&ZEROS[..n])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1193,6 +1256,71 @@ mod tests {
         assert_eq!(
             p.read_bytes(addr, 25).unwrap(),
             b"boundary-crossing payload"
+        );
+    }
+
+    #[test]
+    fn borrowed_read_equals_read_bytes() {
+        let (mut p, _) = small_pool();
+        let seg = p.alloc(3 * FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
+        // Frames 0 and 1 hold data; frame 2 is never written.
+        let fill: Vec<u8> = (0..64u8).collect();
+        p.write_bytes(LogicalAddr::new(seg, FRAME_BYTES - 32), &fill)
+            .unwrap();
+        p.write_bytes(LogicalAddr::new(seg, 5), b"head").unwrap();
+        let concat = |addr: LogicalAddr, len: u64| -> (Vec<u8>, Vec<usize>) {
+            let runs: Vec<&[u8]> = p.read_runs(addr, len).unwrap().collect();
+            (runs.concat(), runs.iter().map(|r| r.len()).collect())
+        };
+        // Across the frame boundary: one run per frame.
+        let addr = LogicalAddr::new(seg, FRAME_BYTES - 40);
+        let (bytes, lens) = concat(addr, 80);
+        assert_eq!(bytes, p.read_bytes(addr, 80).unwrap());
+        assert_eq!(&bytes[8..72], &fill[..]);
+        assert_eq!(lens, vec![40, 40]);
+        // Into and across the unmaterialized frame: zeros, in pieces no
+        // larger than the static zero buffer, never crossing a frame.
+        let addr = LogicalAddr::new(seg, 2 * FRAME_BYTES - 100);
+        let (bytes, lens) = concat(addr, 10_000);
+        assert_eq!(bytes, p.read_bytes(addr, 10_000).unwrap());
+        assert!(bytes.iter().all(|&b| b == 0));
+        assert_eq!(lens, vec![100, 4096, 4096, 1708]);
+        // The whole segment, and an empty read.
+        let whole = LogicalAddr::new(seg, 0);
+        let (bytes, _) = concat(whole, 3 * FRAME_BYTES);
+        assert_eq!(bytes, p.read_bytes(whole, 3 * FRAME_BYTES).unwrap());
+        assert_eq!(&bytes[5..9], b"head");
+        assert_eq!(p.read_runs(LogicalAddr::new(seg, 7), 0).unwrap().count(), 0);
+    }
+
+    #[test]
+    fn borrowed_read_fails_before_yielding() {
+        let (mut p, _) = small_pool();
+        let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(2))).unwrap();
+        let err = |p: &LogicalPool, addr: LogicalAddr, len: u64| {
+            let runs = p.read_runs(addr, len).err();
+            assert_eq!(runs, p.read_bytes(addr, len).err(), "read_bytes agrees");
+            runs
+        };
+        let ghost = SegmentId(seg.0 + 1);
+        assert_eq!(
+            err(&p, LogicalAddr::new(ghost, 0), 1),
+            Some(PoolError::UnknownSegment(ghost))
+        );
+        assert!(matches!(
+            err(&p, LogicalAddr::new(seg, FRAME_BYTES - 1), 2),
+            Some(PoolError::OutOfBounds { end, .. }) if end == FRAME_BYTES + 1
+        ));
+        // A length that would wrap, or abort the allocation in
+        // `read_bytes`, is refused by the bounds check first.
+        assert!(matches!(
+            err(&p, LogicalAddr::new(seg, 0), u64::MAX),
+            Some(PoolError::OutOfBounds { .. })
+        ));
+        p.crash_server(NodeId(2));
+        assert_eq!(
+            err(&p, LogicalAddr::new(seg, 0), 1),
+            Some(PoolError::SegmentLost(seg))
         );
     }
 

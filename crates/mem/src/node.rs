@@ -165,35 +165,25 @@ impl MemoryNode {
         self.store.write(frame, offset, data);
     }
 
-    /// Materialized-byte read from an allocated frame.
-    ///
-    /// # Panics
-    /// Panics on unallocated frames or crashed nodes.
-    pub fn read_bytes(&self, frame: FrameId, offset: u64, len: usize) -> Vec<u8> {
-        // lmp-lint: allow(no-panic) — hardware-model contract, documented
-        // under `# Panics`: upper layers gate on `is_failed()` first.
-        assert!(!self.failed, "read from crashed node {}", self.name);
-        // lmp-lint: allow(no-panic) — hardware-model contract; see above.
-        assert!(
-            self.split.kind_of(frame).is_some(),
-            "read from unallocated frame {frame:?} on {}",
-            self.name
-        );
-        self.store.read(frame, offset, len)
+    /// Borrow the materialized contents of `frame` (`FRAME_BYTES` long), or
+    /// `None` while it is unmaterialized and reads as zeros. Upper layers
+    /// gate on allocation and on [`Self::is_failed`] first.
+    pub fn frame_bytes(&self, frame: FrameId) -> Option<&[u8]> {
+        self.store.get(frame)
     }
 
-    /// Copy out a whole frame (for migration and reconstruction).
-    pub fn read_frame(&self, frame: FrameId) -> Vec<u8> {
-        // lmp-lint: allow(no-panic) — hardware-model contract: migration and
-        // reconstruction read frames only from live sources.
-        assert!(!self.failed, "read from crashed node {}", self.name);
-        self.store.read_frame(frame)
-    }
-
-    /// Replace a whole frame (for migration and reconstruction).
-    pub fn write_frame(&mut self, frame: FrameId, data: &[u8]) {
+    /// Move `frame`'s contents to `dst_frame` on `dst` without copying
+    /// them (migration). `frame` is left unmaterialized; an unmaterialized
+    /// `frame` leaves `dst_frame` unmaterialized too.
+    pub fn move_frame(&mut self, frame: FrameId, dst: &mut MemoryNode, dst_frame: FrameId) {
         self.ensure_alive();
-        self.store.write_frame(frame, data);
+        dst.ensure_alive();
+        self.store.move_frame(frame, &mut dst.store, dst_frame);
+    }
+
+    /// Number of frames whose contents are materialized.
+    pub fn materialized_frames(&self) -> usize {
+        self.store.materialized()
     }
 
     /// Hotness telemetry.
@@ -375,11 +365,11 @@ mod tests {
         let mut n = node();
         let f = n.alloc(RegionKind::Private).unwrap();
         n.write_bytes(f, 0, b"data");
-        assert_eq!(n.read_bytes(f, 0, 4), b"data");
+        assert_eq!(&n.frame_bytes(f).unwrap()[..4], b"data");
         n.free(f).unwrap();
         let f2 = n.alloc(RegionKind::Private).unwrap();
         assert_eq!(f2, f, "lowest-first reuse");
-        assert_eq!(n.read_bytes(f2, 0, 4), vec![0; 4], "no stale data leak");
+        assert_eq!(n.frame_bytes(f2), None, "no stale data leak");
     }
 
     #[test]
@@ -401,7 +391,8 @@ mod tests {
         // All frames free again; data gone.
         assert_eq!(n.split().shared_used(), 0);
         let f2 = n.alloc(RegionKind::Shared).unwrap();
-        assert_eq!(n.read_bytes(f2, 0, 8), vec![0; 8]);
+        assert_eq!(n.frame_bytes(f2), None);
+        assert_eq!(n.materialized_frames(), 0);
     }
 
     #[test]

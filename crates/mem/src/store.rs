@@ -46,38 +46,20 @@ impl FrameStore {
         backing[offset as usize..offset as usize + data.len()].copy_from_slice(data);
     }
 
-    /// Read `len` bytes from `frame` starting at `offset`. Unmaterialized
-    /// frames read as zeros (fresh memory).
-    ///
-    /// # Panics
-    /// Panics when the read would cross the frame boundary.
-    pub fn read(&self, frame: FrameId, offset: u64, len: usize) -> Vec<u8> {
-        // lmp-lint: allow(no-panic) — documented `# Panics` frame-boundary
-        // contract, mirroring how hardware faults on cross-line reads.
-        assert!(
-            offset + len as u64 <= FRAME_BYTES,
-            "read crosses frame boundary: offset {offset} + {len} > {FRAME_BYTES}"
-        );
-        match self.frames.get(&frame) {
-            Some(b) => b[offset as usize..offset as usize + len].to_vec(),
-            None => vec![0u8; len],
-        }
+    /// Borrow `frame`'s whole backing, `FRAME_BYTES` long, or `None` while
+    /// the frame is unmaterialized (it reads as zeros, fresh memory).
+    pub fn get(&self, frame: FrameId) -> Option<&[u8]> {
+        self.frames.get(&frame).map(|b| &b[..])
     }
 
-    /// Copy a whole frame's contents out (zeros if unmaterialized).
-    pub fn read_frame(&self, frame: FrameId) -> Vec<u8> {
-        self.read(frame, 0, FRAME_BYTES as usize)
-    }
-
-    /// Replace a whole frame's contents.
-    ///
-    /// # Panics
-    /// Panics when `data` is not exactly one frame long.
-    pub fn write_frame(&mut self, frame: FrameId, data: &[u8]) {
-        // lmp-lint: allow(no-panic) — documented `# Panics` whole-frame
-        // contract; callers size buffers from FRAME_BYTES.
-        assert_eq!(data.len() as u64, FRAME_BYTES, "whole-frame write size");
-        self.write(frame, 0, data);
+    /// Move `frame`'s backing to `dst_frame` in `dst` without copying it,
+    /// leaving `frame` unmaterialized. An unmaterialized `frame` leaves
+    /// `dst_frame` unmaterialized too: both read as zeros either way.
+    pub fn move_frame(&mut self, frame: FrameId, dst: &mut FrameStore, dst_frame: FrameId) {
+        match self.frames.remove(&frame) {
+            Some(backing) => dst.frames.insert(dst_frame, backing),
+            None => dst.frames.remove(&dst_frame),
+        };
     }
 
     /// Drop a frame's backing (freed or crashed away).
@@ -90,10 +72,14 @@ impl FrameStore {
 mod tests {
     use super::*;
 
+    fn bytes(s: &FrameStore, frame: FrameId, offset: usize, len: usize) -> Option<&[u8]> {
+        s.get(frame).map(|b| &b[offset..offset + len])
+    }
+
     #[test]
     fn unmaterialized_reads_zero() {
         let s = FrameStore::new();
-        assert_eq!(s.read(FrameId(0), 100, 4), vec![0; 4]);
+        assert_eq!(s.get(FrameId(0)), None);
         assert_eq!(s.materialized(), 0);
     }
 
@@ -101,8 +87,12 @@ mod tests {
     fn write_then_read() {
         let mut s = FrameStore::new();
         s.write(FrameId(3), 10, b"hello");
-        assert_eq!(s.read(FrameId(3), 10, 5), b"hello");
-        assert_eq!(s.read(FrameId(3), 9, 1), [0]);
+        assert_eq!(bytes(&s, FrameId(3), 10, 5), Some(&b"hello"[..]));
+        assert_eq!(bytes(&s, FrameId(3), 9, 1), Some(&[0][..]));
+        assert_eq!(
+            s.get(FrameId(3)).map(<[u8]>::len),
+            Some(FRAME_BYTES as usize)
+        );
         assert_eq!(s.materialized(), 1);
     }
 
@@ -111,18 +101,34 @@ mod tests {
         let mut s = FrameStore::new();
         s.write(FrameId(0), 0, b"aaa");
         s.write(FrameId(1), 0, b"bbb");
-        assert_eq!(s.read(FrameId(0), 0, 3), b"aaa");
-        assert_eq!(s.read(FrameId(1), 0, 3), b"bbb");
+        assert_eq!(bytes(&s, FrameId(0), 0, 3), Some(&b"aaa"[..]));
+        assert_eq!(bytes(&s, FrameId(1), 0, 3), Some(&b"bbb"[..]));
     }
 
     #[test]
-    fn whole_frame_round_trip() {
-        let mut s = FrameStore::new();
-        let mut data = vec![0u8; FRAME_BYTES as usize];
-        data[0] = 7;
-        data[FRAME_BYTES as usize - 1] = 9;
-        s.write_frame(FrameId(5), &data);
-        assert_eq!(s.read_frame(FrameId(5)), data);
+    fn move_frame_hands_over_the_backing() {
+        let (mut a, mut b) = (FrameStore::new(), FrameStore::new());
+        a.write(FrameId(5), 0, &[7]);
+        a.write(FrameId(5), FRAME_BYTES - 1, &[9]);
+        let before = a.get(FrameId(5)).map(<[u8]>::as_ptr);
+        a.move_frame(FrameId(5), &mut b, FrameId(2));
+        assert_eq!(a.get(FrameId(5)), None);
+        assert_eq!(
+            b.get(FrameId(2)).map(<[u8]>::as_ptr),
+            before,
+            "moved, not copied"
+        );
+        assert_eq!(bytes(&b, FrameId(2), 0, 1), Some(&[7][..]));
+        assert_eq!(
+            bytes(&b, FrameId(2), FRAME_BYTES as usize - 1, 1),
+            Some(&[9][..])
+        );
+        assert_eq!((a.materialized(), b.materialized()), (0, 1));
+        // An unmaterialized source leaves the destination unmaterialized.
+        b.write(FrameId(3), 0, b"stale");
+        a.move_frame(FrameId(0), &mut b, FrameId(3));
+        assert_eq!(b.get(FrameId(3)), None);
+        assert_eq!((a.materialized(), b.materialized()), (0, 1));
     }
 
     #[test]
@@ -130,7 +136,7 @@ mod tests {
         let mut s = FrameStore::new();
         s.write(FrameId(2), 0, b"x");
         s.discard(FrameId(2));
-        assert_eq!(s.read(FrameId(2), 0, 1), [0]);
+        assert_eq!(s.get(FrameId(2)), None);
     }
 
     #[test]
@@ -138,12 +144,5 @@ mod tests {
     fn cross_boundary_write_panics() {
         let mut s = FrameStore::new();
         s.write(FrameId(0), FRAME_BYTES - 2, b"xyz");
-    }
-
-    #[test]
-    #[should_panic(expected = "crosses frame boundary")]
-    fn cross_boundary_read_panics() {
-        let s = FrameStore::new();
-        s.read(FrameId(0), FRAME_BYTES - 1, 2);
     }
 }
