@@ -87,10 +87,12 @@ impl VectorHandle {
     }
 }
 
+// Both pools are boxed: their inline sizes differ by more than clippy's
+// large-enum-variant bound.
 enum Backend {
-    Logical(LogicalPool),
+    Logical(Box<LogicalPool>),
     Physical {
-        pool: PhysicalPool,
+        pool: Box<PhysicalPool>,
         caches: Option<Vec<PoolCache>>,
     },
 }
@@ -143,7 +145,7 @@ impl Cluster {
                 Cluster {
                     config,
                     fabric,
-                    backend: Backend::Logical(pool),
+                    backend: Backend::Logical(Box::new(pool)),
                     pool_node: None,
                     healing: None,
                 }
@@ -173,7 +175,10 @@ impl Cluster {
                 Cluster {
                     config,
                     fabric,
-                    backend: Backend::Physical { pool, caches },
+                    backend: Backend::Physical {
+                        pool: Box::new(pool),
+                        caches,
+                    },
                     pool_node: Some(pool_node),
                     healing: None,
                 }
@@ -194,7 +199,7 @@ impl Cluster {
     /// The logical pool, when this cluster is a Logical deployment.
     pub fn logical_pool(&mut self) -> Option<&mut LogicalPool> {
         match &mut self.backend {
-            Backend::Logical(p) => Some(p),
+            Backend::Logical(p) => Some(p.as_mut()),
             _ => None,
         }
     }
@@ -256,10 +261,9 @@ impl Cluster {
                 for f in frames {
                     pool.free_frame(f)
                         .map_err(|_| ClusterError::Backend("vector frame was not allocated"))?;
-                }
-                if let Some(caches) = caches {
-                    for c in caches {
-                        c.clear();
+                    // Other live vectors keep their cached frames.
+                    for c in caches.iter_mut().flatten() {
+                        c.evict(f);
                     }
                 }
                 Ok(())
@@ -303,7 +307,7 @@ impl Cluster {
                     frames,
                     *len,
                     params,
-                ))
+                )?)
             }
             _ => Err(ClusterError::Backend("handle from another cluster architecture")),
         }
@@ -539,7 +543,7 @@ pub struct AggregationResult {
 }
 
 /// Multi-core closed-loop scan over physical-pool frames, with or without
-/// the local cache.
+/// the local cache. Invalid `params` fail before anything is charged.
 #[allow(clippy::too_many_arguments)]
 fn scan_physical(
     pool: &mut PhysicalPool,
@@ -550,11 +554,9 @@ fn scan_physical(
     frames: &[FrameId],
     len: u64,
     params: ScanParams,
-) -> ScanOutcome {
+) -> Result<ScanOutcome, PoolError> {
+    params.check()?;
     let ScanParams { cores, chunk, per_core } = params;
-    // lmp-lint: allow(no-panic) — ScanParams construction validates these;
-    // a zero here is a bench-configuration bug, not a recoverable fault.
-    assert!(cores > 0 && chunk > 0);
     let mut outcome = ScanOutcome {
         complete: start,
         local_bytes: 0,
@@ -600,7 +602,7 @@ fn scan_physical(
             heap.push(Reverse((next, c, pos + this, left - this)));
         }
     }
-    outcome
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -703,6 +705,98 @@ mod tests {
             .scan_vector(cold.complete, NodeId(0), &h, ScanParams { cores: 2, chunk: FRAME_BYTES, ..ScanParams::default() })
             .unwrap();
         assert_eq!(warm.local_bytes, 4 * FRAME_BYTES, "warm pass hits");
+    }
+
+    /// Fabric reads, pool DRAM accesses, and per-cache (hits, misses).
+    fn physical_counters(c: &Cluster) -> (u64, u64, Vec<(u64, u64)>) {
+        let Backend::Physical { pool, caches } = &c.backend else {
+            unreachable!("physical cluster")
+        };
+        let caches = caches
+            .iter()
+            .flatten()
+            .map(|cache| (cache.hit_count(), cache.miss_count()))
+            .collect();
+        (
+            c.fabric().read_count(),
+            pool.memory().dram().access_count(),
+            caches,
+        )
+    }
+
+    #[test]
+    fn invalid_scan_params_are_typed_errors_that_charge_nothing() {
+        let zero_cores = ScanParams {
+            cores: 0,
+            ..ScanParams::default()
+        };
+        let zero_chunk = ScanParams {
+            chunk: 0,
+            ..ScanParams::default()
+        };
+        let mut logical = small(PoolArch::Logical);
+        let h = logical.alloc_vector(2 * FRAME_BYTES, NodeId(0)).unwrap();
+        for (params, why) in [
+            (zero_cores, "scan needs at least one core"),
+            (zero_chunk, "scan needs a nonzero chunk size"),
+        ] {
+            let err = logical.scan_vector(SimTime::ZERO, NodeId(0), &h, params);
+            assert_eq!(err, Err(ClusterError::Pool(PoolError::InvalidRequest(why))));
+        }
+        for arch in [PoolArch::PhysicalNoCache, PoolArch::PhysicalCache] {
+            let mut c = small(arch);
+            let h = c.alloc_vector(2 * FRAME_BYTES, NodeId(0)).unwrap();
+            let before = physical_counters(&c);
+            for (params, why) in [
+                (zero_cores, "scan needs at least one core"),
+                (zero_chunk, "scan needs a nonzero chunk size"),
+            ] {
+                let err = c.scan_vector(SimTime::ZERO, NodeId(0), &h, params);
+                assert_eq!(
+                    err,
+                    Err(ClusterError::Pool(PoolError::InvalidRequest(why))),
+                    "{arch:?}"
+                );
+                assert_eq!(
+                    physical_counters(&c),
+                    before,
+                    "{arch:?} charged a failed scan"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn freeing_one_vector_keeps_another_vectors_cached_frames() {
+        let mut c = small(PoolArch::PhysicalCache);
+        let params = ScanParams {
+            cores: 2,
+            chunk: FRAME_BYTES,
+            ..ScanParams::default()
+        };
+        let a = c.alloc_vector(2 * FRAME_BYTES, NodeId(0)).unwrap();
+        let b = c.alloc_vector(2 * FRAME_BYTES, NodeId(0)).unwrap();
+        let cold = c.scan_vector(SimTime::ZERO, NodeId(0), &b, params).unwrap();
+        let warm = c.scan_vector(cold.complete, NodeId(0), &b, params).unwrap();
+        assert_eq!((warm.local_bytes, warm.remote_bytes), (2 * FRAME_BYTES, 0));
+        c.free_vector(a).unwrap();
+        let after = c.scan_vector(warm.complete, NodeId(0), &b, params).unwrap();
+        assert_eq!(
+            (after.local_bytes, after.remote_bytes),
+            (2 * FRAME_BYTES, 0)
+        );
+        let (_, _, caches) = physical_counters(&c);
+        assert_eq!(caches[0], (4, 2), "one cold scan of B, then two warm ones");
+        // Freeing B itself drops its frames from the cache.
+        c.free_vector(b).unwrap();
+        let Backend::Physical {
+            caches: Some(caches),
+            ..
+        } = &c.backend
+        else {
+            unreachable!("cache cluster")
+        };
+        assert!(caches.iter().all(|cache| cache.resident_frames() == 0));
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl ScanParams {
     }
 
     /// [`PoolError::InvalidRequest`] for zero cores or a zero chunk size.
-    pub(crate) fn check(&self) -> Result<(), PoolError> {
+    pub fn check(&self) -> Result<(), PoolError> {
         if self.cores == 0 {
             return Err(PoolError::InvalidRequest("scan needs at least one core"));
         }

@@ -8,7 +8,6 @@
 //! the current phase of the workload.
 
 use crate::frame::FrameId;
-use std::collections::BTreeMap;
 
 /// Identifies who performed an access (a server id in the LMP runtime).
 pub type AccessorId = u32;
@@ -16,8 +15,10 @@ pub type AccessorId = u32;
 /// Decaying per-frame, per-accessor access counters.
 #[derive(Debug, Clone, Default)]
 pub struct HotnessMap {
-    /// (frame → accessor → decayed access count)
-    counts: BTreeMap<FrameId, BTreeMap<AccessorId, u64>>,
+    /// Indexed by frame id: (accessor, decayed access count) pairs sorted
+    /// by accessor. An empty list means the frame has no entry. The table
+    /// grows on demand to the highest frame recorded.
+    frames: Vec<Vec<(AccessorId, u64)>>,
     epoch: u64,
 }
 
@@ -38,40 +39,52 @@ impl HotnessMap {
         Self::default()
     }
 
-    /// Record `n` accesses to `frame` by `accessor`.
+    /// Record `n` accesses to `frame` by `accessor`. A record of zero
+    /// accesses still creates the (frame, accessor) entry.
     pub fn record(&mut self, frame: FrameId, accessor: AccessorId, n: u64) {
-        *self
-            .counts
-            .entry(frame)
-            .or_default()
-            .entry(accessor)
-            .or_insert(0) += n;
+        let i = frame.0 as usize;
+        if i >= self.frames.len() {
+            self.frames.resize_with(i + 1, Vec::new);
+        }
+        let pairs = &mut self.frames[i];
+        match pairs.binary_search_by_key(&accessor, |(a, _)| *a) {
+            Ok(k) => pairs[k].1 += n,
+            Err(k) => {
+                // Most frames only ever see one accessor, and a slot keeps
+                // its allocation across `forget`: size the first one exactly.
+                if pairs.capacity() == 0 {
+                    pairs.reserve_exact(1);
+                }
+                pairs.insert(k, (accessor, n));
+            }
+        }
+    }
+
+    /// The (accessor, count) pairs of `frame`, sorted by accessor.
+    fn pairs(&self, frame: FrameId) -> &[(AccessorId, u64)] {
+        self.frames.get(frame.0 as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Decayed access count for a (frame, accessor) pair.
     pub fn count(&self, frame: FrameId, accessor: AccessorId) -> u64 {
-        self.counts
-            .get(&frame)
-            .and_then(|m| m.get(&accessor))
-            .copied()
-            .unwrap_or(0)
+        let pairs = self.pairs(frame);
+        pairs
+            .binary_search_by_key(&accessor, |(a, _)| *a)
+            .map_or(0, |k| pairs[k].1)
     }
 
     /// Total (all-accessor) decayed count for a frame.
     pub fn total(&self, frame: FrameId) -> u64 {
-        self.counts
-            .get(&frame)
-            .map(|m| m.values().sum())
-            .unwrap_or(0)
+        self.pairs(frame).iter().map(|(_, c)| c).sum()
     }
 
     /// The accessor with the most accesses to `frame`, if any.
     pub fn dominant_accessor(&self, frame: FrameId) -> Option<(AccessorId, u64)> {
-        let m = self.counts.get(&frame)?;
-        m.iter()
+        self.pairs(frame)
+            .iter()
             // Deterministic tie-break: lowest accessor id wins.
-            .max_by_key(|(id, c)| (**c, std::cmp::Reverse(**id)))
-            .map(|(id, c)| (*id, *c))
+            .max_by_key(|(id, c)| (*c, std::cmp::Reverse(*id)))
+            .copied()
     }
 
     /// Advance one epoch: halve every counter, dropping entries that reach
@@ -79,14 +92,13 @@ impl HotnessMap {
     pub fn tick_epoch(&mut self) -> usize {
         self.epoch += 1;
         let mut live = 0;
-        self.counts.retain(|_, per_acc| {
-            per_acc.retain(|_, c| {
+        for pairs in &mut self.frames {
+            pairs.retain_mut(|(_, c)| {
                 *c /= 2;
                 *c > 0
             });
-            live += per_acc.len();
-            !per_acc.is_empty()
-        });
+            live += pairs.len();
+        }
         live
     }
 
@@ -99,13 +111,14 @@ impl HotnessMap {
     /// deterministic tie order (by count desc, then frame, then accessor).
     pub fn top_k(&self, k: usize) -> Vec<HotFrame> {
         let mut all: Vec<HotFrame> = self
-            .counts
+            .frames
             .iter()
-            .flat_map(|(f, per_acc)| {
-                per_acc.iter().map(|(a, c)| HotFrame {
-                    frame: *f,
-                    accessor: *a,
-                    count: *c,
+            .enumerate()
+            .flat_map(|(i, pairs)| {
+                pairs.iter().map(move |&(accessor, count)| HotFrame {
+                    frame: FrameId(i as u64),
+                    accessor,
+                    count,
                 })
             })
             .collect();
@@ -119,21 +132,24 @@ impl HotnessMap {
         all
     }
 
-    /// Forget a frame entirely (it was freed or migrated away).
+    /// Forget a frame entirely (it was freed or migrated away). Its slot
+    /// keeps its allocation for the frame's next owner.
     pub fn forget(&mut self, frame: FrameId) {
-        self.counts.remove(&frame);
+        if let Some(pairs) = self.frames.get_mut(frame.0 as usize) {
+            pairs.clear();
+        }
     }
 
     /// Observed load attributed to one accessor across every frame on this
-    /// node: `(frames touched, decayed access count)`. Iterates the
-    /// `BTreeMap` in key order, so the result is deterministic.
+    /// node: `(frames touched, decayed access count)`. Visits frames in id
+    /// order, so the result is deterministic.
     pub fn accessor_load(&self, accessor: AccessorId) -> (u64, u64) {
         let mut frames = 0;
         let mut accesses = 0;
-        for per_acc in self.counts.values() {
-            if let Some(c) = per_acc.get(&accessor) {
+        for pairs in &self.frames {
+            if let Ok(k) = pairs.binary_search_by_key(&accessor, |(a, _)| *a) {
                 frames += 1;
-                accesses += c;
+                accesses += pairs[k].1;
             }
         }
         (frames, accesses)
@@ -141,7 +157,7 @@ impl HotnessMap {
 
     /// Number of live (frame, accessor) pairs currently tracked.
     pub fn live_pairs(&self) -> usize {
-        self.counts.values().map(|per_acc| per_acc.len()).sum()
+        self.frames.iter().map(Vec::len).sum()
     }
 }
 

@@ -7,8 +7,7 @@
 //! re-balanced at runtime ([`RegionSplit::resize_shared`]) without touching
 //! data — the flexibility benefit of §4.5.
 
-use crate::frame::{FrameAllocator, FrameError, FrameId};
-use std::collections::BTreeSet;
+use crate::frame::{FrameAllocator, FrameBitmap, FrameError, FrameId};
 
 /// Which region a frame belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,7 +59,7 @@ impl From<FrameError> for RegionError {
 pub struct RegionSplit {
     frames: FrameAllocator,
     shared_budget: u64,
-    shared_frames: BTreeSet<FrameId>,
+    shared_frames: FrameBitmap,
     private_used: u64,
 }
 
@@ -80,7 +79,7 @@ impl RegionSplit {
         RegionSplit {
             frames: FrameAllocator::new(total),
             shared_budget,
-            shared_frames: BTreeSet::new(),
+            shared_frames: FrameBitmap::default(),
             private_used: 0,
         }
     }
@@ -102,7 +101,7 @@ impl RegionSplit {
 
     /// Frames allocated in the shared region.
     pub fn shared_used(&self) -> u64 {
-        self.shared_frames.len() as u64
+        self.shared_frames.len()
     }
 
     /// Frames allocated in the private region.
@@ -123,7 +122,7 @@ impl RegionSplit {
     pub fn kind_of(&self, frame: FrameId) -> Option<RegionKind> {
         if !self.frames.is_allocated(frame) {
             None
-        } else if self.shared_frames.contains(&frame) {
+        } else if self.shared_frames.contains(frame) {
             Some(RegionKind::Shared)
         } else {
             Some(RegionKind::Private)
@@ -159,7 +158,7 @@ impl RegionSplit {
             None => Err(RegionError::Frame(FrameError::NotAllocated)),
             Some(RegionKind::Shared) => {
                 self.frames.free(frame)?;
-                self.shared_frames.remove(&frame);
+                self.shared_frames.remove(frame);
                 Ok(())
             }
             Some(RegionKind::Private) => {

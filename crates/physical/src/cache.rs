@@ -12,7 +12,6 @@ use crate::pool::PhysicalPool;
 use lmp_fabric::{Fabric, NodeId};
 use lmp_mem::{DramChannel, DramProfile, FrameId, FRAME_BYTES};
 use lmp_sim::prelude::*;
-use std::collections::BTreeMap;
 
 /// Result of one cached access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +45,12 @@ pub struct PoolCache {
     server: NodeId,
     capacity_frames: u64,
     policy: AdmissionPolicy,
-    /// pooled frame → LRU stamp.
-    resident: BTreeMap<FrameId, u64>,
+    /// LRU stamp per pooled frame id, 0 = not resident. Grows on demand to
+    /// the highest frame admitted.
+    stamps: Vec<u64>,
+    /// Frames currently resident (nonzero stamps).
+    resident: u64,
+    /// Stamp of the latest access; starts at 0, so stamps are ≥ 1.
     clock: u64,
     local_dram: DramChannel,
     hits: Counter,
@@ -84,7 +87,8 @@ impl PoolCache {
             server,
             capacity_frames,
             policy,
-            resident: BTreeMap::new(),
+            stamps: Vec::new(),
+            resident: 0,
             clock: 0,
             local_dram: DramChannel::new(profile),
             hits: Counter::new(),
@@ -101,14 +105,14 @@ impl PoolCache {
 
     /// Frames currently resident.
     pub fn resident_frames(&self) -> u64 {
-        self.resident.len() as u64
+        self.resident
     }
 
     /// Access `bytes` within pooled `frame`. On a miss the whole frame is
     /// copied from the pool first (the upfront memcpy), then the access is
     /// served from local memory.
-    // Eviction only runs when the cache is full, so `resident` is
-    // non-empty and min_by_key always yields a victim.
+    // Eviction only runs when the cache is full, so some stamp is nonzero
+    // and min_by_key always yields a victim.
     #[allow(clippy::expect_used)]
     pub fn access(
         &mut self,
@@ -119,7 +123,8 @@ impl PoolCache {
         bytes: u64,
     ) -> CachedAccess {
         self.clock += 1;
-        if let Some(stamp) = self.resident.get_mut(&frame) {
+        let slot = frame.0 as usize;
+        if let Some(stamp) = self.stamps.get_mut(slot).filter(|s| **s != 0) {
             *stamp = self.clock;
             self.hits.inc();
             let d = self.local_dram.access(now, bytes);
@@ -130,7 +135,7 @@ impl PoolCache {
             };
         }
         self.misses.inc();
-        let evicted = if self.resident.len() as u64 >= self.capacity_frames {
+        let evicted = if self.resident >= self.capacity_frames {
             match self.policy {
                 AdmissionPolicy::PinUntilFull => {
                     // Bypass: serve only the requested bytes remotely and
@@ -145,16 +150,18 @@ impl PoolCache {
                 AdmissionPolicy::Lru => {
                     // Evict the least-recently-used frame (deterministic
                     // tie-break by frame id).
-                    let victim = *self
-                        .resident
+                    let victim = self
+                        .stamps
                         .iter()
-                        .min_by_key(|(f, stamp)| (**stamp, f.0))
-                        .map(|(f, _)| f)
+                        .enumerate()
+                        .filter(|(_, stamp)| **stamp != 0)
+                        .min_by_key(|(f, stamp)| (**stamp, *f))
+                        .map(|(f, _)| FrameId(f as u64))
                         // lmp-lint: allow(no-panic) — the eviction branch only
-                        // runs when the cache is full, so the resident map is
-                        // structurally non-empty.
+                        // runs when the cache is full, so some stamp is
+                        // structurally nonzero.
                         .expect("cache full implies non-empty");
-                    self.resident.remove(&victim);
+                    self.evict(victim);
                     self.evictions.inc();
                     Some(victim)
                 }
@@ -169,7 +176,11 @@ impl PoolCache {
         // requested bytes from it.
         let fill = self.local_dram.access(fetch.complete, FRAME_BYTES);
         let serve = self.local_dram.access(fill.complete, bytes);
-        self.resident.insert(frame, self.clock);
+        if slot >= self.stamps.len() {
+            self.stamps.resize(slot + 1, 0);
+        }
+        self.stamps[slot] = self.clock;
+        self.resident += 1;
         CachedAccess {
             complete: serve.complete,
             hit: false,
@@ -194,9 +205,14 @@ impl PoolCache {
         self.upfront_bytes.get()
     }
 
-    /// Drop everything (e.g. workload change).
-    pub fn clear(&mut self) {
-        self.resident.clear();
+    /// Drop `frame` from the cache, if resident (its pool frame was
+    /// freed). Not counted in [`Self::eviction_count`], which counts
+    /// capacity evictions only.
+    pub fn evict(&mut self, frame: FrameId) {
+        if let Some(stamp) = self.stamps.get_mut(frame.0 as usize).filter(|s| **s != 0) {
+            *stamp = 0;
+            self.resident -= 1;
+        }
     }
 }
 
@@ -303,6 +319,93 @@ mod tests {
         assert_eq!(cache.miss_count(), 3);
         assert_eq!(cache.hit_count(), 12);
         assert_eq!(cache.eviction_count(), 0);
+    }
+
+    fn cache_with(policy: AdmissionPolicy, frames: u64) -> PoolCache {
+        PoolCache::with_policy(
+            NodeId(0),
+            frames * FRAME_BYTES,
+            DramProfile::xeon_gold_5120(),
+            policy,
+        )
+    }
+
+    #[test]
+    fn far_apart_frames_are_tracked_independently() {
+        for policy in [AdmissionPolicy::PinUntilFull, AdmissionPolicy::Lru] {
+            let (mut fabric, mut pool, _) = setup(2);
+            let mut cache = cache_with(policy, 2);
+            let (lo, hi) = (FrameId(3), FrameId(30_000));
+            let mut now = SimTime::ZERO;
+            for (f, hit) in [(hi, false), (lo, false), (hi, true), (lo, true)] {
+                let a = cache.access(&mut fabric, &mut pool, now, f, 64);
+                assert_eq!(a.hit, hit, "{policy:?} {f:?}");
+                now = a.complete;
+            }
+            assert_eq!(cache.resident_frames(), 2, "{policy:?}");
+            // Evicting one frame leaves the other resident; evicting a
+            // frame that is not resident is a no-op.
+            cache.evict(hi);
+            cache.evict(hi);
+            cache.evict(FrameId(7));
+            assert_eq!(cache.resident_frames(), 1, "{policy:?}");
+            assert_eq!(cache.eviction_count(), 0, "{policy:?}");
+            assert!(cache.access(&mut fabric, &mut pool, now, lo, 64).hit);
+            // The freed slot admits the next miss.
+            let a = cache.access(&mut fabric, &mut pool, now, FrameId(70), 64);
+            assert!(!a.hit && a.evicted.is_none(), "{policy:?}");
+            assert_eq!(cache.resident_frames(), 2, "{policy:?}");
+            assert!(
+                cache
+                    .access(&mut fabric, &mut pool, a.complete, FrameId(70), 64)
+                    .hit
+            );
+        }
+    }
+
+    #[test]
+    fn lru_evicts_oldest_stamp_not_lowest_frame() {
+        let (mut fabric, mut pool, _) = setup(2);
+        let mut cache = cache_with(AdmissionPolicy::Lru, 2);
+        let mut now = SimTime::ZERO;
+        for f in [3, 30_000, 3] {
+            now = cache
+                .access(&mut fabric, &mut pool, now, FrameId(f), 64)
+                .complete;
+        }
+        let a = cache.access(&mut fabric, &mut pool, now, FrameId(70), 64);
+        assert_eq!(a.evicted, Some(FrameId(30_000)));
+        let b = cache.access(&mut fabric, &mut pool, a.complete, FrameId(30_000), 64);
+        assert_eq!(b.evicted, Some(FrameId(3)));
+        assert_eq!(cache.resident_frames(), 2);
+        assert_eq!(cache.eviction_count(), 2);
+    }
+
+    #[test]
+    fn pinned_cache_bypasses_until_a_frame_is_evicted() {
+        let (mut fabric, mut pool, _) = setup(2);
+        let mut cache = cache_with(AdmissionPolicy::PinUntilFull, 2);
+        let mut now = SimTime::ZERO;
+        for f in [3, 30_000, 70] {
+            now = cache
+                .access(&mut fabric, &mut pool, now, FrameId(f), 64)
+                .complete;
+        }
+        assert_eq!(cache.resident_frames(), 2);
+        assert!(
+            !cache
+                .access(&mut fabric, &mut pool, now, FrameId(70), 64)
+                .hit
+        );
+        cache.evict(FrameId(3));
+        let a = cache.access(&mut fabric, &mut pool, now, FrameId(70), 64);
+        assert!(!a.hit);
+        assert!(
+            cache
+                .access(&mut fabric, &mut pool, a.complete, FrameId(70), 64)
+                .hit
+        );
+        assert_eq!(cache.resident_frames(), 2);
     }
 
     #[test]
