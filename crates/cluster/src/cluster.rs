@@ -97,15 +97,6 @@ enum Backend {
     },
 }
 
-/// The autonomous failure-handling stack of a logical cluster: lease
-/// detector, epoch-versioned membership, protection bookkeeping, and the
-/// throttled recovery orchestrator. Driven by [`Cluster::tick_health`].
-struct SelfHealing {
-    detector: FailureDetector,
-    orchestrator: RecoveryOrchestrator,
-    protection: ProtectionManager,
-}
-
 /// One of the paper's deployments, ready to run workloads.
 // Manual impl below: the backend holds full memory images, which are not
 // useful (or cheap) to format.
@@ -115,8 +106,6 @@ pub struct Cluster {
     backend: Backend,
     /// Fabric id of the pool appliance (physical architectures only).
     pool_node: Option<NodeId>,
-    /// Present once [`Cluster::enable_self_healing`] ran (Logical only).
-    healing: Option<SelfHealing>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -124,7 +113,6 @@ impl std::fmt::Debug for Cluster {
         f.debug_struct("Cluster")
             .field("arch", &self.config.arch)
             .field("pool_node", &self.pool_node)
-            .field("self_healing", &self.healing.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -147,7 +135,6 @@ impl Cluster {
                     fabric,
                     backend: Backend::Logical(Box::new(pool)),
                     pool_node: None,
-                    healing: None,
                 }
             }
             PoolArch::PhysicalCache | PoolArch::PhysicalNoCache => {
@@ -180,7 +167,6 @@ impl Cluster {
                         caches,
                     },
                     pool_node: Some(pool_node),
-                    healing: None,
                 }
             }
         }
@@ -310,189 +296,6 @@ impl Cluster {
                 )?)
             }
             _ => Err(ClusterError::Backend("handle from another cluster architecture")),
-        }
-    }
-
-    /// Arm the self-healing stack: a lease failure detector over the
-    /// fabric plus an automatic recovery orchestrator, with leases
-    /// starting at `now`. Logical deployments only (a physical pool is a
-    /// single appliance; its failure model is out of scope here).
-    /// Returns whether the stack was armed.
-    pub fn enable_self_healing(&mut self, cfg: HealthConfig, now: SimTime) -> bool {
-        if !matches!(self.backend, Backend::Logical(_)) {
-            return false;
-        }
-        self.healing = Some(SelfHealing {
-            detector: FailureDetector::new(cfg, self.config.servers, now),
-            orchestrator: RecoveryOrchestrator::new(),
-            protection: ProtectionManager::new(),
-        });
-        true
-    }
-
-    /// Whether self-healing is armed.
-    pub fn self_healing_enabled(&self) -> bool {
-        self.healing.is_some()
-    }
-
-    /// The protection manager, once self-healing is armed. Use it to
-    /// mirror or parity-protect segments; the orchestrator repairs them
-    /// automatically after a confirmed crash.
-    pub fn protection(&mut self) -> Option<&mut ProtectionManager> {
-        self.healing.as_mut().map(|h| &mut h.protection)
-    }
-
-    /// The epoch-versioned membership view, once self-healing is armed.
-    pub fn membership(&self) -> Option<&Membership> {
-        self.healing.as_ref().map(|h| h.detector.membership())
-    }
-
-    /// Current membership epoch, once self-healing is armed.
-    pub fn membership_epoch(&self) -> Option<u64> {
-        self.healing.as_ref().map(|h| h.detector.epoch())
-    }
-
-    /// The detector's current view of `node`, once self-healing is armed.
-    pub fn node_health(&self, node: NodeId) -> Option<NodeHealth> {
-        self.healing.as_ref().map(|h| h.detector.health(node))
-    }
-
-    /// Segments still queued for automatic repair.
-    pub fn pending_repairs(&self) -> usize {
-        self.healing
-            .as_ref()
-            .map_or(0, |h| h.orchestrator.pending_segments())
-    }
-
-    /// Mirror `seg` onto another server, tracked by the self-healing
-    /// protection manager. Requires self-healing to be armed.
-    pub fn protect_mirror(
-        &mut self,
-        now: SimTime,
-        seg: SegmentId,
-    ) -> Result<SegmentId, ClusterError> {
-        let (Some(h), Backend::Logical(pool)) = (self.healing.as_mut(), &mut self.backend)
-        else {
-            return Err(ClusterError::Pool(PoolError::UnknownSegment(seg)));
-        };
-        h.protection
-            .mirror(pool, &mut self.fabric, now, seg)
-            .map_err(ClusterError::Pool)
-    }
-
-    /// XOR-protect `members` with one parity segment, tracked by the
-    /// self-healing protection manager. Requires self-healing to be armed.
-    pub fn protect_parity(
-        &mut self,
-        now: SimTime,
-        members: &[SegmentId],
-    ) -> Result<GroupId, ClusterError> {
-        let (Some(h), Backend::Logical(pool)) = (self.healing.as_mut(), &mut self.backend)
-        else {
-            return Err(ClusterError::Pool(PoolError::UnknownSegment(members[0])));
-        };
-        h.protection
-            .protect_parity(pool, &mut self.fabric, now, members)
-            .map_err(ClusterError::Pool)
-    }
-
-    /// Protected write: keeps the mirror replica and parity in sync.
-    /// Requires self-healing to be armed.
-    pub fn write_protected(
-        &mut self,
-        addr: LogicalAddr,
-        data: &[u8],
-    ) -> Result<WriteAmplification, ClusterError> {
-        let (Some(h), Backend::Logical(pool)) = (self.healing.as_mut(), &mut self.backend)
-        else {
-            return Err(ClusterError::Pool(PoolError::UnknownSegment(addr.segment)));
-        };
-        h.protection.write(pool, addr, data).map_err(ClusterError::Pool)
-    }
-
-    /// One self-healing tick at `now`: sweep every node with heartbeat
-    /// probes, react to confirmations by queueing repair work, and run one
-    /// throttled repair step. Call on the detector's `probe_interval`
-    /// cadence. Returns the health transitions this tick produced.
-    pub fn tick_health(&mut self, now: SimTime) -> Vec<HealthEvent> {
-        let (Some(h), Backend::Logical(pool)) = (self.healing.as_mut(), &mut self.backend)
-        else {
-            return Vec::new();
-        };
-        let events = h.detector.probe_tick(&mut self.fabric, now);
-        for ev in &events {
-            if let HealthEvent::ConfirmedDown { node, epoch, .. } = ev {
-                h.orchestrator.on_confirmed_down(pool, *node, *epoch);
-            }
-        }
-        if h.orchestrator.has_pending() {
-            h.orchestrator.step(
-                pool,
-                &mut self.fabric,
-                &mut h.protection,
-                now,
-                h.detector.config().recovery_batch,
-            );
-        }
-        events
-    }
-
-    /// Serve a read through the degraded path (mirror, or on-the-fly XOR
-    /// of parity survivors) when the primary copy is crashed or
-    /// unreachable. Requires self-healing to be armed.
-    pub fn read_degraded(
-        &mut self,
-        now: SimTime,
-        requester: NodeId,
-        addr: LogicalAddr,
-        len: u64,
-    ) -> Result<DegradedRead, ClusterError> {
-        let (Some(h), Backend::Logical(pool)) = (self.healing.as_mut(), &mut self.backend)
-        else {
-            return Err(ClusterError::Pool(PoolError::UnknownSegment(addr.segment)));
-        };
-        h.protection
-            .read_degraded(pool, &mut self.fabric, now, requester, addr, len)
-            .map_err(ClusterError::Pool)
-    }
-
-    /// Fault injection: crash `server` — its pool shard dies and its
-    /// fabric port drops. Returns the segments that were mapped to it
-    /// (Logical only). The detector notices on its own; nothing else is
-    /// told.
-    pub fn inject_crash(&mut self, server: NodeId) -> Option<Vec<SegmentId>> {
-        let Backend::Logical(pool) = &mut self.backend else {
-            return None;
-        };
-        let affected = pool.crash_server(server);
-        self.fabric.set_port_down(server, true);
-        Some(affected)
-    }
-
-    /// Fault injection: cold-restart `server` — empty memory, port back
-    /// up. With self-healing armed the restart goes through the epoch
-    /// rule: the node re-enters with whatever epoch it last joined under,
-    /// so segments already rebuilt elsewhere cannot be resurrected.
-    pub fn inject_restart(&mut self, server: NodeId) -> Option<RejoinOutcome> {
-        let Backend::Logical(pool) = &mut self.backend else {
-            return None;
-        };
-        self.fabric.set_port_down(server, false);
-        match self.healing.as_mut() {
-            Some(h) => {
-                let claimed = h.detector.membership().incarnation(server);
-                Some(h.orchestrator.admit_rejoin(
-                    pool,
-                    h.detector.membership(),
-                    server,
-                    claimed,
-                    false,
-                ))
-            }
-            None => {
-                pool.restart_server(server);
-                None
-            }
         }
     }
 
@@ -806,69 +609,6 @@ mod tests {
         assert_eq!(r.per_rep_gbps.len(), 3);
         assert!(r.avg_bandwidth_gbps > 0.0);
         assert_eq!(r.arch, PoolArch::Logical);
-    }
-
-    #[test]
-    fn self_healing_arms_only_on_logical() {
-        let mut c = small(PoolArch::PhysicalNoCache);
-        assert!(!c.enable_self_healing(HealthConfig::default_chaos(), SimTime::ZERO));
-        let mut c = small(PoolArch::Logical);
-        assert!(c.enable_self_healing(HealthConfig::default_chaos(), SimTime::ZERO));
-        assert!(c.self_healing_enabled());
-        assert_eq!(c.membership_epoch(), Some(0));
-    }
-
-    #[test]
-    fn cluster_heals_a_crash_without_manual_recover() {
-        let mut c = small(PoolArch::Logical);
-        let cfg = HealthConfig::default_chaos();
-        assert!(c.enable_self_healing(cfg, SimTime::ZERO));
-
-        // A mirrored segment homed on server 1.
-        let seg = c
-            .logical_pool()
-            .unwrap()
-            .alloc(FRAME_BYTES, Placement::On(NodeId(1)))
-            .unwrap();
-        let addr = LogicalAddr::new(seg, 17);
-        c.protect_mirror(SimTime::ZERO, seg).unwrap();
-        c.write_protected(addr, b"healed").unwrap();
-
-        c.inject_crash(NodeId(1));
-        assert_eq!(c.node_health(NodeId(1)), Some(NodeHealth::Healthy));
-
-        // The detection-to-repair gap: a plain read faults, the degraded
-        // path serves the same bytes from the replica.
-        assert!(matches!(
-            c.logical_pool().unwrap().read_bytes(addr, 6),
-            Err(PoolError::SegmentLost(_))
-        ));
-        let r = c.read_degraded(SimTime::ZERO, NodeId(0), addr, 6).unwrap();
-        assert_eq!(r.bytes, b"healed");
-        let degraded_served = true;
-
-        // Tick the detector until it confirms and the orchestrator heals.
-        let mut now = SimTime::ZERO;
-        for k in 1..=40u64 {
-            now = SimTime::ZERO + cfg.probe_interval * k;
-            c.tick_health(now);
-        }
-        // Confirmed, repaired, epoch advanced — no manual recover() call.
-        assert_eq!(c.node_health(NodeId(1)), Some(NodeHealth::Down));
-        assert_eq!(c.membership_epoch(), Some(1));
-        assert_eq!(c.pending_repairs(), 0);
-        let pool = c.logical_pool().unwrap();
-        assert_eq!(pool.read_bytes(addr, 6).unwrap(), b"healed");
-        assert_ne!(pool.holder_of(seg), Some(NodeId(1)));
-
-        // Restart: the node rejoins under a fresh epoch; the rebuilt copy
-        // stays authoritative.
-        let out = c.inject_restart(NodeId(1)).unwrap();
-        assert!(!out.resurrected);
-        c.tick_health(now + cfg.probe_interval);
-        assert_eq!(c.node_health(NodeId(1)), Some(NodeHealth::Healthy));
-        assert_eq!(c.membership_epoch(), Some(2));
-        assert!(degraded_served, "the recovery window was exercised");
     }
 
     #[test]

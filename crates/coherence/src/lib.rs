@@ -13,8 +13,8 @@
 //!   CXL-style back-invalidation.
 //! * [`region::CoherentRegion`] — word-addressable coherent memory with
 //!   per-operation cost accounting (latency + protocol messages).
-//! * [`sync`] — coordination primitives built on the region (spin, ticket,
-//!   cohort/NUMA-aware locks, barrier, seqlock), comparable by traffic.
+//! * [`sync`] — coordination locks built on the region (spin, ticket,
+//!   cohort/NUMA-aware), comparable by traffic.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,4 +31,4 @@ pub use directory::{CohMessage, DirAccess, DirState, Directory};
 pub use filter::{FilterOutcome, SnoopFilter};
 pub use region::{CoherenceCost, CoherentRegion, OutOfRegion};
 pub use rwlock::{CentralRwLock, NumaRwLock};
-pub use sync::{Barrier, CohortLock, SeqLock, SpinLock, TicketLock};
+pub use sync::{CohortLock, SpinLock, TicketLock};

@@ -3,10 +3,9 @@
 //! §5 proposes that applications use "scalable coordination mechanisms to
 //! reduce coherence traffic on coherent memory, such as NUMA-aware
 //! coordination". This module provides the ladder the paper cites: a plain
-//! spinlock, a ticket lock, a NUMA/cohort lock that prefers same-server
-//! handoffs, a sense-reversing barrier, and a seqlock. Each returns the
-//! [`CoherenceCost`] of its region traffic so the benches can compare
-//! designs by messages, not vibes.
+//! spinlock, a ticket lock, and a NUMA/cohort lock that prefers
+//! same-server handoffs. Each returns the [`CoherenceCost`] of its region
+//! traffic so the benches can compare designs by messages, not vibes.
 
 use crate::config::NodeId;
 use crate::region::{CoherenceCost, CoherentRegion, OutOfRegion};
@@ -232,130 +231,6 @@ impl CohortLock {
     }
 }
 
-/// A sense-reversing barrier on a single coherent word.
-#[derive(Debug, Clone, Copy)]
-pub struct Barrier {
-    count_addr: u64,
-    sense_addr: u64,
-    parties: u64,
-}
-
-impl Barrier {
-    /// A barrier for `parties` arrivals; words at `base` and `base+stride`.
-    ///
-    /// # Panics
-    /// Panics for zero parties.
-    pub fn new(base: u64, stride: u64, parties: u64) -> Self {
-        // lmp-lint: allow(no-panic) — documented `# Panics` ctor precondition;
-        // zero parties is an experiment-setup bug.
-        assert!(parties > 0, "barrier needs at least one party");
-        Barrier {
-            count_addr: base,
-            sense_addr: base + stride,
-            parties,
-        }
-    }
-
-    /// Arrive at the barrier. Returns `true` for the last arrival (which
-    /// flips the sense, releasing everyone).
-    pub fn arrive(
-        &self,
-        region: &mut CoherentRegion,
-        node: NodeId,
-    ) -> Result<(bool, CoherenceCost), OutOfRegion> {
-        let (prev, mut cost) = region.fetch_add(node, self.count_addr, 1)?;
-        let arrivals = prev + 1;
-        if arrivals % self.parties == 0 {
-            // Last arrival: flip sense.
-            let (sense, c2) = region.load(node, self.sense_addr)?;
-            cost.absorb(c2);
-            cost.absorb(region.store(node, self.sense_addr, sense ^ 1)?);
-            Ok((true, cost))
-        } else {
-            Ok((false, cost))
-        }
-    }
-
-    /// One poll of the sense word: has the generation `sense` completed?
-    pub fn poll(
-        &self,
-        region: &mut CoherentRegion,
-        node: NodeId,
-        sense: u64,
-    ) -> Result<(bool, CoherenceCost), OutOfRegion> {
-        let (cur, cost) = region.load(node, self.sense_addr)?;
-        Ok((cur != sense, cost))
-    }
-}
-
-/// A seqlock: one sequence word; writers make it odd during updates,
-/// readers retry on odd or changed sequences.
-#[derive(Debug, Clone, Copy)]
-pub struct SeqLock {
-    seq_addr: u64,
-}
-
-impl SeqLock {
-    /// A seqlock with its sequence word at `addr`.
-    pub fn new(addr: u64) -> Self {
-        SeqLock { seq_addr: addr }
-    }
-
-    /// Begin a write: sequence becomes odd.
-    ///
-    /// # Panics
-    /// Panics on nested write begin (sequence already odd).
-    pub fn write_begin(
-        &self,
-        region: &mut CoherentRegion,
-        node: NodeId,
-    ) -> Result<CoherenceCost, OutOfRegion> {
-        let (seq, mut cost) = region.load(node, self.seq_addr)?;
-        // lmp-lint: allow(no-panic) — a nested seqlock write is a protocol
-        // violation in the calling workload; continuing would corrupt the
-        // sequence word.
-        assert_eq!(seq % 2, 0, "nested seqlock write");
-        cost.absorb(region.store(node, self.seq_addr, seq + 1)?);
-        Ok(cost)
-    }
-
-    /// End a write: sequence becomes even again.
-    pub fn write_end(
-        &self,
-        region: &mut CoherentRegion,
-        node: NodeId,
-    ) -> Result<CoherenceCost, OutOfRegion> {
-        let (seq, mut cost) = region.load(node, self.seq_addr)?;
-        // lmp-lint: allow(no-panic) — write_end without a matching write_begin
-        // is a protocol violation; the sequence word is already inconsistent.
-        assert_eq!(seq % 2, 1, "write_end without write_begin");
-        cost.absorb(region.store(node, self.seq_addr, seq + 1)?);
-        Ok(cost)
-    }
-
-    /// Begin a read: returns the observed sequence (`None` while a write is
-    /// in progress and the read must retry).
-    pub fn read_begin(
-        &self,
-        region: &mut CoherentRegion,
-        node: NodeId,
-    ) -> Result<(Option<u64>, CoherenceCost), OutOfRegion> {
-        let (seq, cost) = region.load(node, self.seq_addr)?;
-        Ok((if seq % 2 == 0 { Some(seq) } else { None }, cost))
-    }
-
-    /// Validate a read begun at `seq`: `true` when no write intervened.
-    pub fn read_validate(
-        &self,
-        region: &mut CoherentRegion,
-        node: NodeId,
-        seq: u64,
-    ) -> Result<(bool, CoherenceCost), OutOfRegion> {
-        let (cur, cost) = region.load(node, self.seq_addr)?;
-        Ok((cur == seq, cost))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,35 +353,6 @@ mod tests {
         assert!(
             cohort_msgs < ticket_msgs,
             "cohort {cohort_msgs} vs ticket {ticket_msgs}"
-        );
-    }
-
-    #[test]
-    fn barrier_releases_on_last_arrival() {
-        let mut r = region();
-        let b = Barrier::new(0, 16, 3);
-        assert!(!b.arrive(&mut r, 0).unwrap().0);
-        assert!(!b.arrive(&mut r, 1).unwrap().0);
-        assert!(!b.poll(&mut r, 0, 0).unwrap().0);
-        assert!(b.arrive(&mut r, 2).unwrap().0, "last arrival releases");
-        assert!(b.poll(&mut r, 0, 0).unwrap().0);
-    }
-
-    #[test]
-    fn seqlock_reader_sees_torn_writes() {
-        let mut r = region();
-        let s = SeqLock::new(0);
-        // Clean read.
-        let (seq, _) = s.read_begin(&mut r, 1).unwrap();
-        let seq = seq.expect("no writer active");
-        assert!(s.read_validate(&mut r, 1, seq).unwrap().0);
-        // Read concurrent with a write must fail validation or begin.
-        s.write_begin(&mut r, 0).unwrap();
-        assert!(s.read_begin(&mut r, 1).unwrap().0.is_none());
-        s.write_end(&mut r, 0).unwrap();
-        assert!(
-            !s.read_validate(&mut r, 1, seq).unwrap().0,
-            "stale sequence must fail validation"
         );
     }
 }

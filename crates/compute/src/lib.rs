@@ -26,11 +26,9 @@ pub mod placement;
 pub mod planner;
 pub mod scan;
 pub mod ship;
-pub mod task;
 
 pub use operator::{OpOutput, Operator, Predicate};
 pub use placement::DistVector;
 pub use planner::{fetch_reference, Choice, Plan, Planner, PushdownOutcome, SegmentPlan};
 pub use scan::{scan_ranges, scan_segment, ScanOutcome, ScanParams, DEFAULT_CHUNK};
-pub use ship::{reduce_timed, reduce_value, run_task, ReduceOp, ReduceOutcome, Strategy};
-pub use task::{Partial, Task};
+pub use ship::{reduce_timed, reduce_value, ReduceOp, ReduceOutcome, Strategy};

@@ -2,10 +2,9 @@
 //!
 //! The pushdown framework needs a *description* of work that can travel to
 //! a segment holder and whose result size is a property of the data, not
-//! of the operator alone. [`Operator`] generalizes the fixed-partial
-//! [`Task`](crate::task::Task) enum in exactly that direction:
+//! of the operator alone:
 //!
-//! * **Aggregate** — fold to one scalar (8 bytes shipped, like `Task`).
+//! * **Aggregate** — fold to one scalar (8 bytes shipped).
 //! * **Count** — predicate count (8 bytes shipped).
 //! * **Filter** — return the *matching elements themselves*; shipped bytes
 //!   scale with selectivity, which is what makes ship-vs-fetch a real

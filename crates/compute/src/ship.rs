@@ -165,6 +165,14 @@ pub(crate) fn group_by_holder(
 /// `params` applies per participating server: a Pull shares one core
 /// budget across every stripe, a Ship gives each *holder* (not each
 /// stripe) its own.
+///
+/// With one stripe per holder this is the timing of
+/// [`Planner::execute`](crate::planner::Planner::execute) on a plan forced
+/// to [`Choice::Fetch`](crate::planner::Choice::Fetch) (Pull) or
+/// [`Choice::Ship`](crate::planner::Choice::Ship) (Ship). It stays because
+/// `execute` also folds every stripe for its result: on a large
+/// unmaterialized vector (the `nearmem` bench's 64 GiB) that fold costs far
+/// more host time than the timing model, and `reduce_timed` skips it.
 pub fn reduce_timed(
     pool: &mut LogicalPool,
     fabric: &mut Fabric,
@@ -213,68 +221,6 @@ pub fn reduce_timed(
         }
     }
     Ok(outcome)
-}
-
-/// Run an arbitrary shippable [`Task`](crate::task::Task) over a
-/// distributed vector: timing via the scan engine, the result from
-/// materialized stripe contents. With [`Strategy::Ship`] only each
-/// holder's fixed-size partial crosses the fabric.
-#[allow(clippy::too_many_arguments)]
-pub fn run_task(
-    pool: &mut LogicalPool,
-    fabric: &mut Fabric,
-    start: SimTime,
-    requester: NodeId,
-    vector: &DistVector,
-    task: crate::task::Task,
-    strategy: Strategy,
-    params: ScanParams,
-) -> Result<(crate::task::Partial, ReduceOutcome), PoolError> {
-    let (stripes, stale) = live_stripes(pool, vector)?;
-    let mut outcome = ReduceOutcome {
-        complete: start,
-        fabric_bytes: 0,
-        local_bytes: 0,
-        stale_holders: stale,
-    };
-    // The result is strategy-independent: fold stripes in logical order.
-    // A stripe addresses whole elements; a non-8-aligned length has an
-    // ignored tail that still occupies the stripe, so the next stripe's
-    // first element index rounds *up* — `len / 8` would drift every later
-    // stripe and break position-bearing tasks like FindFirst.
-    let mut acc = task.identity();
-    let mut element_base = 0u64;
-    for (_, seg, len) in &stripes {
-        let bytes = pool.read_bytes(LogicalAddr::new(*seg, 0), *len)?;
-        acc = task.combine(acc, task.execute(&bytes, element_base));
-        element_base += len.div_ceil(8);
-    }
-    match strategy {
-        Strategy::Pull => {
-            let ranges: Vec<(SegmentId, u64, u64)> =
-                stripes.iter().map(|(_, seg, len)| (*seg, 0, *len)).collect();
-            let s = scan_ranges(pool, fabric, start, requester, &ranges, params)?;
-            outcome.complete = outcome.complete.max(s.complete);
-            outcome.fabric_bytes += s.remote_bytes;
-            outcome.local_bytes += s.local_bytes;
-        }
-        Strategy::Ship => {
-            for (holder, ranges) in group_by_holder(&stripes) {
-                let s = scan_ranges(pool, fabric, start, holder, &ranges, params)?;
-                outcome.local_bytes += s.local_bytes;
-                outcome.fabric_bytes += s.remote_bytes;
-                let done = if holder == requester {
-                    s.complete
-                } else {
-                    let pb = task.partial_bytes();
-                    outcome.fabric_bytes += pb;
-                    ship_result(fabric, s.complete, holder, requester, pb)?
-                };
-                outcome.complete = outcome.complete.max(done);
-            }
-        }
-    }
-    Ok((acc, outcome))
 }
 
 /// Compute the actual reduction value from materialized stripe contents
@@ -447,83 +393,6 @@ mod tests {
         .unwrap();
         assert_eq!(again.stale_holders, 1);
         assert_eq!(p.telemetry().unwrap().stale_holders(), 2);
-    }
-
-    #[test]
-    fn run_task_agrees_across_strategies_and_ships_small_partials() {
-        use crate::task::{Partial, Task};
-        let (mut p, mut f) = setup(16);
-        let servers: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let v = DistVector::stripe_even(&mut p, 4 * FRAME_BYTES, &servers).unwrap();
-        // Put a needle in stripe 2 and some counted values everywhere.
-        for (i, (_, seg, _)) in v.stripes.iter().enumerate() {
-            let vals = pack(&[i as u64, 100 + i as u64]);
-            p.write_bytes(LogicalAddr::new(*seg, 0), &vals).unwrap();
-        }
-        let needle_stripe_elems = FRAME_BYTES / 8;
-        for task in [
-            Task::CountGreater(99),
-            Task::FindFirst(102),
-            Task::Reduce(ReduceOp::Max),
-        ] {
-            let (pull_val, pull) = run_task(
-                &mut p, &mut f, SimTime::ZERO, NodeId(0), &v, task, Strategy::Pull,
-                ScanParams::with_cores(4),
-            )
-            .unwrap();
-            let (ship_val, ship) = run_task(
-                &mut p, &mut f, SimTime::ZERO, NodeId(0), &v, task, Strategy::Ship,
-                ScanParams::with_cores(4),
-            )
-            .unwrap();
-            assert_eq!(pull_val, ship_val, "{task:?}");
-            assert!(ship.fabric_bytes < pull.fabric_bytes, "{task:?}");
-        }
-        // Spot-check values.
-        let (found, _) = run_task(
-            &mut p, &mut f, SimTime::ZERO, NodeId(0), &v, Task::FindFirst(102),
-            Strategy::Ship, ScanParams::with_cores(4),
-        )
-        .unwrap();
-        assert_eq!(found, Partial::Found(Some(2 * needle_stripe_elems + 1)));
-        let (count, _) = run_task(
-            &mut p, &mut f, SimTime::ZERO, NodeId(0), &v, Task::CountGreater(99),
-            Strategy::Ship, ScanParams::with_cores(4),
-        )
-        .unwrap();
-        assert_eq!(count, Partial::Scalar(4));
-    }
-
-    #[test]
-    fn unaligned_stripes_keep_global_element_indices() {
-        use crate::task::{Partial, Task};
-        // Regression for the `len / 8` drift: a 20-byte stripe holds 2
-        // whole elements plus a 4-byte ignored tail that still occupies
-        // the stripe, so the next stripe starts at element index 3
-        // (div_ceil), not 2 (floor).
-        let (mut p, _f) = setup(16);
-        let seg_a = p.alloc(FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
-        let seg_b = p.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
-        p.write_bytes(LogicalAddr::new(seg_a, 0), &pack(&[1, 2])).unwrap();
-        p.write_bytes(LogicalAddr::new(seg_b, 0), &pack(&[7, 42])).unwrap();
-        let v = DistVector {
-            stripes: vec![(NodeId(0), seg_a, 20), (NodeId(1), seg_b, 16)],
-        };
-        let mut f = Fabric::new(LinkProfile::link1(), 4);
-        for strategy in [Strategy::Pull, Strategy::Ship] {
-            let (found, _) = run_task(
-                &mut p, &mut f, SimTime::ZERO, NodeId(0), &v, Task::FindFirst(42),
-                strategy, ScanParams::with_cores(2),
-            )
-            .unwrap();
-            // Stripe A spans element indices 0..3 (2 data + 1 tail slot);
-            // 42 is stripe B's second element → global index 4.
-            assert_eq!(found, Partial::Found(Some(4)), "{strategy:?}");
-        }
-    }
-
-    fn pack(vals: &[u64]) -> Vec<u8> {
-        vals.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
     #[test]

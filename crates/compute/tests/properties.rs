@@ -1,11 +1,11 @@
 // Test/driver code: unwrap/expect on known-good setup is acceptable here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-//! Property tests for scans, placement, and shippable tasks.
+//! Property tests for scans, placement, and shippable operators.
 
 use lmp_compute::{
-    reduce_value, run_task, scan_ranges, DistVector, Partial, ReduceOp, ScanParams, Strategy,
-    Task,
+    reduce_timed, reduce_value, scan_ranges, Choice, DistVector, OpOutput, Operator, Planner,
+    Predicate, ReduceOp, ScanParams, Strategy,
 };
 use lmp_core::prelude::*;
 use lmp_fabric::{Fabric, LinkProfile, NodeId};
@@ -54,10 +54,10 @@ proptest! {
         prop_assert_eq!(out.local_bytes, stripe_frames[0] * FRAME_BYTES);
     }
 
-    /// Task results are strategy-independent and match a straightforward
+    /// Operator results are choice-independent and match a straightforward
     /// reference computation, for arbitrary vector contents.
     #[test]
-    fn tasks_match_reference(
+    fn operators_match_reference(
         values in proptest::collection::vec(any::<u64>(), 8..64),
         threshold in any::<u64>(),
     ) {
@@ -73,31 +73,27 @@ proptest! {
         let mut all = values.clone();
         all.resize(elems_total as usize, 0);
 
-        for (task, expect) in [
+        let planner = Planner::new(ScanParams::with_cores(2), 0.0);
+        for (op, expect) in [
             (
-                Task::Reduce(ReduceOp::Sum),
-                Partial::Scalar(all.iter().fold(0u64, |a, &b| a.wrapping_add(b))),
+                Operator::Aggregate(ReduceOp::Sum),
+                all.iter().fold(0u64, |a, &b| a.wrapping_add(b)),
             ),
             (
-                Task::Reduce(ReduceOp::Max),
-                Partial::Scalar(all.iter().copied().max().unwrap()),
+                Operator::Aggregate(ReduceOp::Max),
+                all.iter().copied().max().unwrap(),
             ),
             (
-                Task::CountGreater(threshold),
-                Partial::Scalar(all.iter().filter(|&&x| x > threshold).count() as u64),
-            ),
-            (
-                Task::FindFirst(values[0]),
-                Partial::Found(all.iter().position(|&x| x == values[0]).map(|i| i as u64)),
+                Operator::Count(Predicate::Greater(threshold)),
+                all.iter().filter(|&&x| x > threshold).count() as u64,
             ),
         ] {
-            for strategy in [Strategy::Pull, Strategy::Ship] {
-                let (got, _) = run_task(
-                    &mut p, &mut f, SimTime::ZERO, NodeId(0), &v, task, strategy,
-                    ScanParams::with_cores(2),
-                )
-                .unwrap();
-                prop_assert_eq!(&got, &expect, "{:?} via {:?}", task, strategy);
+            let plan = planner.plan(&mut p, &f, SimTime::ZERO, NodeId(0), &v, op).unwrap();
+            for choice in [Choice::Fetch, Choice::Ship] {
+                let (got, _) = planner
+                    .execute(&mut p, &mut f, SimTime::ZERO, NodeId(0), op, &plan.forced(choice))
+                    .unwrap();
+                prop_assert_eq!(&got, &OpOutput::Scalar(expect), "{:?} via {:?}", op, choice);
             }
         }
     }
@@ -128,17 +124,78 @@ proptest! {
         let (mut p, mut f) = setup(8);
         let servers: Vec<NodeId> = (0..4).map(NodeId).collect();
         let v = DistVector::stripe_even(&mut p, 8 * FRAME_BYTES, &servers).unwrap();
-        let (_, pull) = run_task(
-            &mut p, &mut f, SimTime::ZERO, NodeId(requester), &v,
-            Task::Reduce(ReduceOp::Sum), Strategy::Pull, ScanParams::with_cores(4),
+        let pull = reduce_timed(
+            &mut p, &mut f, SimTime::ZERO, NodeId(requester), &v, Strategy::Pull,
+            ScanParams::with_cores(4),
         )
         .unwrap();
-        let (_, ship) = run_task(
-            &mut p, &mut f, SimTime::ZERO, NodeId(requester), &v,
-            Task::Reduce(ReduceOp::Sum), Strategy::Ship, ScanParams::with_cores(4),
+        let ship = reduce_timed(
+            &mut p, &mut f, SimTime::ZERO, NodeId(requester), &v, Strategy::Ship,
+            ScanParams::with_cores(4),
         )
         .unwrap();
         prop_assert!(ship.fabric_bytes <= pull.fabric_bytes);
         prop_assert!(ship.fabric_bytes <= 3 * 8, "three remote partials max");
+    }
+
+    /// `reduce_timed` is the timing of a forced pushdown plan: a Pull is
+    /// `execute` on `plan.forced(Choice::Fetch)` and a Ship is `execute` on
+    /// `plan.forced(Choice::Ship)`, down to the rack snapshot, for any
+    /// holder set, length, requester, pacing, link and background load.
+    ///
+    /// The vectors hold one stripe per holder. On a holder with several
+    /// stripes the two differ: `reduce_timed` ships one 8-byte partial per
+    /// holder, while `execute` ships 8 bytes per shipped segment.
+    #[test]
+    fn reduce_timed_equals_forced_plan(
+        holders in 1u32..=4,
+        first in 0u32..4,
+        len in 1u64..4 * FRAME_BYTES,
+        requester in 0u32..4,
+        cores in 1u32..16,
+        chunk_kb in 16u64..4096,
+        link1 in any::<bool>(),
+        bg_mib in prop_oneof![Just(0u64), 1u64..64],
+    ) {
+        let servers: Vec<NodeId> = (0..holders).map(|i| NodeId((first + i) % 4)).collect();
+        let params = ScanParams {
+            cores,
+            chunk: chunk_kb * 1024,
+            ..ScanParams::default()
+        };
+        let world = || {
+            let (mut p, _) = setup(8);
+            let link = if link1 { LinkProfile::link1() } else { LinkProfile::link0() };
+            let mut f = Fabric::new(link, 4);
+            p.attach_telemetry();
+            let v = DistVector::stripe_even(&mut p, len * holders as u64, &servers).unwrap();
+            if bg_mib > 0 {
+                for h in &servers {
+                    f.write(SimTime::ZERO, *h, NodeId((h.0 + 1) % 4), bg_mib * MIB);
+                }
+            }
+            (p, f, v)
+        };
+        let op = Operator::Aggregate(ReduceOp::Sum);
+        let planner = Planner::new(params, 0.0);
+        let start = SimTime::from_nanos(1_000);
+        for (strategy, choice) in [(Strategy::Pull, Choice::Fetch), (Strategy::Ship, Choice::Ship)] {
+            let (mut p, mut f, v) = world();
+            let timed = reduce_timed(&mut p, &mut f, start, NodeId(requester), &v, strategy, params)
+                .unwrap();
+            let timed_rack = rack_snapshot(&mut p, &mut f, timed.complete).to_json();
+
+            let (mut p, mut f, v) = world();
+            let plan = planner.plan(&mut p, &f, start, NodeId(requester), &v, op).unwrap();
+            let (_, planned) = planner
+                .execute(&mut p, &mut f, start, NodeId(requester), op, &plan.forced(choice))
+                .unwrap();
+            let planned_rack = rack_snapshot(&mut p, &mut f, planned.complete).to_json();
+
+            prop_assert_eq!(timed.complete, planned.complete, "{:?}", strategy);
+            prop_assert_eq!(timed.fabric_bytes, planned.fabric_bytes, "{:?}", strategy);
+            prop_assert_eq!(timed.local_bytes, planned.local_bytes, "{:?}", strategy);
+            prop_assert_eq!(timed_rack, planned_rack, "{:?}", strategy);
+        }
     }
 }

@@ -95,11 +95,6 @@ impl RecoveryOrchestrator {
         self.pending.values().map(|p| p.queue.len()).sum()
     }
 
-    /// Whether `seg` is queued and not yet repaired.
-    pub fn is_pending(&self, seg: SegmentId) -> bool {
-        self.pending.values().any(|p| p.queue.contains(&seg))
-    }
-
     /// Total repair batches executed.
     pub fn recovery_count(&self) -> u64 {
         self.recoveries

@@ -68,7 +68,6 @@ pub mod observe;
 pub mod placement;
 pub mod pool;
 pub mod runtime;
-pub mod share;
 pub mod sizing;
 pub mod translate;
 
@@ -94,7 +93,6 @@ pub mod prelude {
     pub use crate::runtime::{
         RackRuntime, RuntimeConfig, RuntimeError, ServerRuntime, VirtAddr,
     };
-    pub use crate::share::{ShareError, SharingRegistry};
     pub use crate::sizing::{
         apply as apply_sizing, apply_best_effort, solve as solve_sizing, AppDemand, SizingPlan,
     };

@@ -44,11 +44,6 @@ pub struct PoolTelemetry {
     /// their historical byte-identical digests.
     independence_lost_rack: Option<CounterId>,
     independence_lost_host: Option<CounterId>,
-    /// Live mirror of the `pool.access_latency` instrument. The registry's
-    /// histograms are write-only until snapshot time, but hedged reads need
-    /// a quantile *during* the run to derive deadlines — this mirror gives
-    /// them one without changing the exported snapshot.
-    access_latency_live: Histogram,
     /// `qos.admission_rejected{tenant}` — registered lazily on a tenant's
     /// first rejection so QoS-free runs keep their historical digests.
     admission_rejected: BTreeMap<u32, CounterId>,
@@ -109,7 +104,6 @@ impl PoolTelemetry {
             per_server_remote,
             independence_lost_rack: None,
             independence_lost_host: None,
-            access_latency_live: Histogram::new(),
             admission_rejected: BTreeMap::new(),
             hedge_issued: None,
             hedge_won: None,
@@ -161,7 +155,6 @@ impl PoolTelemetry {
         let total = complete.duration_since(now);
         self.registry.add(self.latency_ns, total.as_nanos());
         self.registry.record_duration(self.access_latency, total);
-        self.access_latency_live.record_duration(total);
 
         // Span tree: the children partition [now, complete] exactly.
         let name = if ops.len() == 1 { "access" } else { "batch" };
@@ -205,10 +198,11 @@ impl PoolTelemetry {
     /// before the first access. Hedged reads derive their per-tenant
     /// deadlines from this.
     pub fn access_latency_quantile(&self, q: f64) -> Option<SimDuration> {
-        if self.access_latency_live.count() == 0 {
+        let h = self.registry.histogram_value(self.access_latency);
+        if h.count() == 0 {
             None
         } else {
-            Some(SimDuration::from_nanos(self.access_latency_live.quantile(q)))
+            Some(SimDuration::from_nanos(h.quantile(q)))
         }
     }
 
@@ -266,11 +260,6 @@ impl PoolTelemetry {
     /// The underlying registry.
     pub fn registry(&self) -> &MetricRegistry {
         &self.registry
-    }
-
-    /// The span recorder (e.g. to clear between measurement windows).
-    pub fn spans_mut(&mut self) -> &mut SpanRecorder {
-        &mut self.spans
     }
 
     /// Per-phase self time (ns), flamegraph style: `access` holds only

@@ -260,13 +260,6 @@ impl LogicalPool {
         self.qos_mut().admission.set_limit(tenant, rate);
     }
 
-    /// Remove `tenant`'s rate limit; it is admitted unconditionally again.
-    pub fn clear_tenant_rate(&mut self, tenant: TenantId) {
-        if let Some(q) = self.qos.as_deref_mut() {
-            q.admission.clear_limit(tenant);
-        }
-    }
-
     /// Route `tenant`'s fabric traffic on `band`. Only observable when the
     /// fabric has priority bands enabled ([`Fabric::enable_bands`]).
     ///
@@ -281,15 +274,6 @@ impl LogicalPool {
             .as_deref()
             .and_then(|q| q.bands.get(&tenant).copied())
             .unwrap_or(Band::Normal)
-    }
-
-    /// Whole admission tokens `tenant` could spend at `now` (`u64::MAX`
-    /// when unlimited).
-    pub fn admission_available(&mut self, now: SimTime, tenant: TenantId) -> u64 {
-        match self.qos.as_deref_mut() {
-            Some(q) => q.admission.available(now, tenant),
-            None => u64::MAX,
-        }
     }
 
     /// Attach per-access telemetry (instruments + spans). Idempotent; the
@@ -410,6 +394,9 @@ impl LogicalPool {
         if len == 0 {
             return Err(PoolError::InvalidRequest("zero-length allocation"));
         }
+        if let Placement::On(n) | Placement::LocalFirst(n) = placement {
+            self.check_server(n)?;
+        }
         let frames = len.div_ceil(FRAME_BYTES);
         let server = self
             .pick_server(frames, placement)
@@ -456,6 +443,7 @@ impl LogicalPool {
         requester: NodeId,
         seg: SegmentId,
     ) -> Result<(SegmentLoc, u32), PoolError> {
+        self.check_server(requester)?;
         let tlb = &mut self.tlbs[requester.0 as usize];
         if let Some(tlb) = tlb {
             if let Some(loc) = tlb.lookup(seg) {
@@ -509,6 +497,36 @@ impl LogicalPool {
                 len: seg_len,
             }),
         }
+    }
+
+    fn check_server(&self, server: NodeId) -> Result<(), PoolError> {
+        if server.0 < self.config.servers {
+            Ok(())
+        } else {
+            Err(PoolError::InvalidRequest("unknown server"))
+        }
+    }
+
+    /// The checks that refuse a malformed request without touching any
+    /// state: an unknown requester, a zero-length op, an op on an unknown
+    /// segment or out of its bounds, and a crashed requester. Every
+    /// `access*` entry point runs them before it admits or charges
+    /// anything. An empty batch needs only a known requester.
+    fn check_request(&self, requester: NodeId, ops: &[BatchOp]) -> Result<(), PoolError> {
+        self.check_server(requester)?;
+        if ops.is_empty() {
+            return Ok(());
+        }
+        for o in ops {
+            if o.len == 0 {
+                return Err(PoolError::InvalidRequest("zero-length access"));
+            }
+            self.check_bounds(o.addr, o.len)?;
+        }
+        if self.nodes[requester.0 as usize].is_failed() {
+            return Err(PoolError::ServerDown(requester));
+        }
+        Ok(())
     }
 
     /// Timed access: `requester` reads or writes `len` bytes at `addr`.
@@ -570,7 +588,9 @@ impl LogicalPool {
     /// Tenant-aware timed access: admission control first, then the
     /// tenant's priority band. A rejected op charges nothing — no
     /// counters, DRAM occupancy, or fabric traffic — and surfaces as the
-    /// recoverable [`PoolError::AdmissionRejected`].
+    /// recoverable [`PoolError::AdmissionRejected`]. A malformed op is
+    /// refused before admission and spends no token; see
+    /// [`LogicalPool::access_batch_as`].
     #[allow(clippy::too_many_arguments)]
     pub fn access_as(
         &mut self,
@@ -593,6 +613,11 @@ impl LogicalPool {
     /// admitted or rejected as a unit (one token per op), then issued on
     /// the tenant's configured band. Without any configured QoS this is
     /// byte-identical to the tenant-blind path.
+    ///
+    /// A malformed batch (unknown or crashed requester, zero-length or
+    /// out-of-bounds op, unknown segment) is refused before admission and
+    /// spends no token. A batch that fails after admission, on a crashed
+    /// holder or a downed fabric port, has spent its tokens.
     pub fn access_batch_as(
         &mut self,
         fabric: &mut Fabric,
@@ -601,6 +626,7 @@ impl LogicalPool {
         requester: NodeId,
         ops: &[BatchOp],
     ) -> Result<BatchResult, PoolError> {
+        self.check_request(requester, ops)?;
         if let Some(q) = self.qos.as_deref_mut() {
             if !q.admission.admit(now, tenant, ops.len() as u64) {
                 if let Some(t) = self.telemetry.as_deref_mut() {
@@ -610,13 +636,27 @@ impl LogicalPool {
             }
         }
         let band = self.tenant_band(tenant);
-        self.access_batch_banded(fabric, now, requester, ops, band)
+        self.run_batch(fabric, now, requester, ops, band)
     }
 
     /// [`LogicalPool::access_batch`] with an explicit fabric priority
     /// band. With bands disabled on the fabric (the default) the band is
     /// ignored and the schedule is byte-identical to the plain path.
     pub fn access_batch_banded(
+        &mut self,
+        fabric: &mut Fabric,
+        now: SimTime,
+        requester: NodeId,
+        ops: &[BatchOp],
+        band: Band,
+    ) -> Result<BatchResult, PoolError> {
+        self.check_request(requester, ops)?;
+        self.run_batch(fabric, now, requester, ops, band)
+    }
+
+    /// [`LogicalPool::access_batch_banded`] for a batch that passed
+    /// [`LogicalPool::check_request`].
+    fn run_batch(
         &mut self,
         fabric: &mut Fabric,
         now: SimTime,
@@ -635,15 +675,6 @@ impl LogicalPool {
             });
         }
         // ---- validate: nothing is charged until every op clears ----
-        for o in ops {
-            if o.len == 0 {
-                return Err(PoolError::InvalidRequest("zero-length access"));
-            }
-            self.check_bounds(o.addr, o.len)?;
-        }
-        if self.nodes[requester.0 as usize].is_failed() {
-            return Err(PoolError::ServerDown(requester));
-        }
         let idle = PoolAccess {
             complete: now,
             local_bytes: 0,
@@ -895,6 +926,7 @@ impl LogicalPool {
     /// Resize a server's shared budget (bytes, rounded down to frames) —
     /// the §4.5 flexibility knob.
     pub fn resize_shared(&mut self, server: NodeId, shared_bytes: u64) -> Result<(), PoolError> {
+        self.check_server(server)?;
         if self.nodes[server.0 as usize].is_failed() {
             return Err(PoolError::ServerDown(server));
         }
@@ -1546,6 +1578,104 @@ mod tests {
             0
         );
         assert_eq!(snap.counter("pool.ops.read", &[]), 0);
+    }
+
+    type Request<T> =
+        fn(&mut LogicalPool, &mut Fabric, NodeId, LogicalAddr) -> Result<T, PoolError>;
+
+    /// Send `req` from (or onto) a server id one past the last on a pool
+    /// holding one segment: it is refused as an unknown server, and the
+    /// pool counters, fabric counters and rack snapshot stay unchanged.
+    fn assert_unknown_server_refused<T: std::fmt::Debug>(req: Request<T>) {
+        let (mut p, mut f) = small_pool();
+        p.attach_telemetry();
+        let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
+        let state = |p: &mut LogicalPool, f: &mut Fabric| {
+            (
+                p.access_counts(),
+                (f.read_count(), f.write_count()),
+                crate::observe::rack_snapshot(p, f, SimTime::ZERO).to_json(),
+            )
+        };
+        let before = state(&mut p, &mut f);
+        let unknown = NodeId(p.servers());
+        let r = req(&mut p, &mut f, unknown, LogicalAddr::new(seg, 0));
+        assert_eq!(r.unwrap_err(), PoolError::InvalidRequest("unknown server"));
+        assert_eq!(state(&mut p, &mut f), before);
+    }
+
+    #[test]
+    fn alloc_on_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, _, n, _| p.alloc(FRAME_BYTES, Placement::On(n)));
+        assert_unknown_server_refused(|p, _, n, _| p.alloc(FRAME_BYTES, Placement::LocalFirst(n)));
+    }
+
+    #[test]
+    fn translate_for_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, _, n, a| p.translate(n, a.segment));
+    }
+
+    #[test]
+    fn access_from_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, f, n, a| {
+            p.access(f, SimTime::ZERO, n, a, 64, MemOp::Read)
+        });
+    }
+
+    #[test]
+    fn access_batch_from_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, f, n, a| {
+            p.access_batch(f, SimTime::ZERO, n, &[BatchOp::read(a, 64)])
+        });
+    }
+
+    #[test]
+    fn access_batch_banded_from_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, f, n, a| {
+            p.access_batch_banded(f, SimTime::ZERO, n, &[BatchOp::read(a, 64)], Band::High)
+        });
+    }
+
+    #[test]
+    fn access_as_from_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, f, n, a| {
+            p.access_as(f, SimTime::ZERO, TenantId(1), n, a, 64, MemOp::Read)
+        });
+    }
+
+    #[test]
+    fn access_batch_as_from_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, f, n, a| {
+            p.access_batch_as(f, SimTime::ZERO, TenantId(1), n, &[BatchOp::read(a, 64)])
+        });
+    }
+
+    #[test]
+    fn resize_of_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, _, n, _| p.resize_shared(n, FRAME_BYTES));
+    }
+
+    #[test]
+    fn malformed_tenant_op_spends_no_admission_token() {
+        // Regression: an out-of-bounds op used to pass admission first,
+        // spending the tenant's only token before it was refused.
+        let (mut p, mut f) = small_pool();
+        let tenant = TenantId(3);
+        p.set_tenant_rate(
+            tenant,
+            TenantRate {
+                ops_per_sec: 1,
+                burst: 1,
+            },
+        );
+        let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
+        let now = SimTime::from_nanos(7);
+        let past_end = LogicalAddr::new(seg, FRAME_BYTES);
+        let r = p.access_as(&mut f, now, tenant, NodeId(0), past_end, 64, MemOp::Read);
+        assert!(matches!(r, Err(PoolError::OutOfBounds { .. })), "{r:?}");
+        let addr = LogicalAddr::new(seg, 0);
+        let r = p.access_as(&mut f, now, tenant, NodeId(0), addr, 64, MemOp::Read);
+        assert!(r.is_ok(), "the valid op must be admitted: {r:?}");
     }
 
     #[test]

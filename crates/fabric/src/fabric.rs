@@ -111,9 +111,6 @@ pub struct Fabric {
     /// Directed links: index `2n` is node n's up wire, `2n+1` its down wire.
     links: Vec<Link>,
     node_count: u32,
-    /// Extra per-hop switch latency (0 by default: the profile's endpoints
-    /// already include the switch, as in Table 2 / Pond).
-    switch_latency: SimDuration,
     /// Per-node port state: `true` while the node is off the fabric
     /// (crashed or partitioned). Fault injection toggles this.
     port_down: Vec<bool>,
@@ -145,7 +142,6 @@ impl Fabric {
             profile,
             links,
             node_count,
-            switch_latency: SimDuration::ZERO,
             port_down: vec![false; node_count as usize],
             latency_factor: vec![1.0; node_count as usize],
             bands: None,
@@ -154,12 +150,6 @@ impl Fabric {
             probes: Counter::new(),
             read_latency: Histogram::new(),
         }
-    }
-
-    /// Add extra per-hop switch latency (for exploring deeper fabrics).
-    pub fn with_switch_latency(mut self, lat: SimDuration) -> Self {
-        self.switch_latency = lat;
-        self
     }
 
     /// Enable weighted priority-band queueing on every link. Off by
@@ -242,11 +232,6 @@ impl Fabric {
         &self.links[id.0]
     }
 
-    /// Windowed utilization of a directed link.
-    pub fn link_utilization(&mut self, now: SimTime, id: LinkId) -> f64 {
-        self.links[id.0].utilization(now)
-    }
-
     /// Take `node`'s fabric port down (crash or partition). Subsequent
     /// [`Fabric::try_read`]/[`Fabric::try_write`] through it fail.
     pub fn set_port_down(&mut self, node: NodeId, down: bool) {
@@ -277,13 +262,11 @@ impl Fabric {
         self.latency_factor[node.0 as usize] = 1.0;
     }
 
-    /// Current latency multiplier on `node`'s links.
-    pub fn node_latency_factor(&self, node: NodeId) -> f64 {
-        self.latency_factor[node.0 as usize]
-    }
-
-    fn path_latency_factor(&self, a: NodeId, b: NodeId) -> f64 {
-        self.latency_factor[a.0 as usize].max(self.latency_factor[b.0 as usize])
+    /// Loaded latency of the path between `a` and `b` at utilization `u`,
+    /// stretched by the worse of the two ends' degradation factors.
+    fn path_latency(&self, u: f64, a: NodeId, b: NodeId) -> SimDuration {
+        let factor = self.latency_factor[a.0 as usize].max(self.latency_factor[b.0 as usize]);
+        self.profile.curve.at(u).mul_f64(factor)
     }
 
     fn check_ports(&self, requester: NodeId, holder: NodeId) -> Result<(), FabricError> {
@@ -352,8 +335,7 @@ impl Fabric {
         self.reads.inc();
         // Bottleneck utilization along the data path, sampled pre-admission.
         let u = self.path_utilization(now, requester, holder);
-        let latency = (self.profile.curve.at(u) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, holder));
+        let latency = self.path_latency(u, requester, holder);
 
         // Request flits.
         let r_up = self.up_index(requester);
@@ -409,8 +391,7 @@ impl Fabric {
         let q2 = self.links[self.down_index(holder)].free_at(q1).max(q1) + flit;
         let d1 = self.links[self.up_index(holder)].free_at(q2).max(q2) + wire;
         let d2 = self.links[self.down_index(requester)].free_at(d1).max(d1) + wire;
-        let latency = (self.profile.curve.at(0.0) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, holder));
+        let latency = self.path_latency(0.0, requester, holder);
         Some(d2 + latency)
     }
 
@@ -450,10 +431,8 @@ impl Fabric {
         self.reads.add(2);
         let u_p = self.path_utilization(now, requester, primary);
         let u_h = self.path_utilization(now, requester, hedge);
-        let lat_p = (self.profile.curve.at(u_p) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, primary));
-        let lat_h = (self.profile.curve.at(u_h) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, hedge));
+        let lat_p = self.path_latency(u_p, requester, primary);
+        let lat_h = self.path_latency(u_h, requester, hedge);
 
         // Two request flits leave the requester back to back; each holder
         // then transmits the payload on its own up wire.
@@ -543,8 +522,7 @@ impl Fabric {
         self.check_ports(requester, holder)?;
         self.writes.inc();
         let u = self.path_utilization(now, requester, holder);
-        let latency = (self.profile.curve.at(u) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, holder));
+        let latency = self.path_latency(u, requester, holder);
 
         let r_up = self.up_index(requester);
         let h_down = self.down_index(holder);
@@ -636,8 +614,7 @@ impl Fabric {
             MemOp::Write => self.writes.add(ops),
         }
         let u = self.path_utilization(now, requester, holder);
-        let latency = (self.profile.curve.at(u) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, holder));
+        let latency = self.path_latency(u, requester, holder);
 
         let r_up = self.up_index(requester);
         let r_down = self.down_index(requester);
@@ -706,8 +683,7 @@ impl Fabric {
         self.check_ports(prober, target)?;
         self.probes.inc();
         let u = self.path_utilization(now, prober, target);
-        let latency = (self.profile.curve.at(u) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(prober, target));
+        let latency = self.path_latency(u, prober, target);
 
         // Probes are control traffic: with bands enabled they ride the
         // high-priority band, so failure detection stays responsive even

@@ -92,7 +92,6 @@ pub mod transition {
         "crates/core/src/failure.rs",
         "crates/core/src/heal.rs",
         "crates/core/src/health.rs",
-        "crates/core/src/share.rs",
         "crates/core/src/placement.rs",
         "crates/mem/src/hotness.rs",
         "crates/mem/src/node.rs",

@@ -83,12 +83,6 @@ impl TokenBucket {
         }
     }
 
-    /// Whole tokens currently available at `now` (refills first).
-    pub fn available(&mut self, now: SimTime) -> u64 {
-        self.refill(now);
-        u64::try_from(self.scaled / TOKEN_SCALE).unwrap_or(u64::MAX)
-    }
-
     /// The configured limit.
     pub fn rate(&self) -> TenantRate {
         TenantRate {
@@ -117,11 +111,6 @@ impl AdmissionController {
         self.buckets.insert(tenant, TokenBucket::new(rate));
     }
 
-    /// Remove `tenant`'s limit; it is admitted unconditionally again.
-    pub fn clear_limit(&mut self, tenant: TenantId) {
-        self.buckets.remove(&tenant);
-    }
-
     /// Whether `tenant` has a configured limit.
     pub fn is_limited(&self, tenant: TenantId) -> bool {
         self.buckets.contains_key(&tenant)
@@ -133,15 +122,6 @@ impl AdmissionController {
         match self.buckets.get_mut(&tenant) {
             Some(b) => b.try_acquire(now, tokens),
             None => true,
-        }
-    }
-
-    /// Whole tokens `tenant` could spend at `now` (`u64::MAX` when
-    /// unlimited).
-    pub fn available(&mut self, now: SimTime, tenant: TenantId) -> u64 {
-        match self.buckets.get_mut(&tenant) {
-            Some(b) => b.available(now),
-            None => u64::MAX,
         }
     }
 }
@@ -186,7 +166,8 @@ mod tests {
         });
         assert!(b.try_acquire(SimTime::ZERO, 3));
         // A long idle period refills to burst, not beyond.
-        assert_eq!(b.available(at(1_000_000)), 3);
+        assert!(b.try_acquire(at(1_000_000), 3));
+        assert!(!b.try_acquire(at(1_000_000), 1));
     }
 
     #[test]
@@ -196,16 +177,16 @@ mod tests {
             burst: 2,
         });
         assert!(b.try_acquire(at(5_000), 2));
-        let before = b.available(at(5_000));
         // An earlier instant refills nothing (and must not underflow).
-        assert_eq!(b.available(at(1_000)), before);
+        assert!(!b.try_acquire(at(1_000), 1));
+        // Nor does it move the refill clock: 2 µs later, 2 tokens.
+        assert!(b.try_acquire(at(7_000), 2));
     }
 
     #[test]
     fn controller_unlimited_by_default() {
         let mut ac = AdmissionController::new();
         assert!(ac.admit(SimTime::ZERO, TenantId(7), 1_000_000));
-        assert_eq!(ac.available(SimTime::ZERO, TenantId(7)), u64::MAX);
     }
 
     #[test]
@@ -221,8 +202,6 @@ mod tests {
         assert!(ac.admit(SimTime::ZERO, TenantId(1), 2));
         assert!(!ac.admit(SimTime::ZERO, TenantId(1), 1));
         assert!(ac.admit(SimTime::ZERO, TenantId(2), 100), "other tenant untouched");
-        ac.clear_limit(TenantId(1));
-        assert!(ac.admit(SimTime::ZERO, TenantId(1), 100));
     }
 
     #[test]

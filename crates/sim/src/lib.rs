@@ -43,7 +43,6 @@ pub mod rate;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod units;
 
 /// Commonly used items, re-exported for `use lmp_sim::prelude::*`.
@@ -52,10 +51,9 @@ pub mod prelude {
     pub use crate::engine::{Engine, SchedulePastError};
     pub use crate::latency::LoadedLatencyCurve;
     pub use crate::queue::{EventId, EventQueue};
-    pub use crate::rate::{BusyTracker, SlidingRate};
+    pub use crate::rate::BusyTracker;
     pub use crate::rng::DetRng;
-    pub use crate::stats::{Counter, Ewma, Histogram, TimeWeighted};
+    pub use crate::stats::{Counter, Ewma, Histogram};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{MemorySink, NullSink, TraceKind, TraceSink};
     pub use crate::units::{fmt_bytes, Bandwidth, GIB, KIB, MIB, TIB};
 }

@@ -1,67 +1,10 @@
-//! Rate and utilization measurement over sliding windows.
+//! Utilization measurement over sliding windows.
 //!
 //! Links feed their recent utilization into the loaded-latency model, so the
 //! window length directly shapes how quickly latency reacts to offered load.
 
 use crate::time::{SimDuration, SimTime};
-use crate::units::Bandwidth;
 use std::collections::VecDeque;
-
-/// Measures achieved throughput as bytes transferred in a sliding window.
-#[derive(Debug, Clone)]
-pub struct SlidingRate {
-    window: SimDuration,
-    samples: VecDeque<(SimTime, u64)>,
-    in_window: u64,
-}
-
-impl SlidingRate {
-    /// A meter with the given window length.
-    ///
-    /// # Panics
-    /// Panics on a zero-length window.
-    pub fn new(window: SimDuration) -> Self {
-        // lmp-lint: allow(no-panic) — documented `# Panics` ctor precondition;
-        // a zero-length window divides by zero.
-        assert!(!window.is_zero(), "zero-length rate window");
-        SlidingRate {
-            window,
-            samples: VecDeque::new(),
-            in_window: 0,
-        }
-    }
-
-    /// Record `bytes` moved at time `now`.
-    pub fn record(&mut self, now: SimTime, bytes: u64) {
-        self.evict(now);
-        self.samples.push_back((now, bytes));
-        self.in_window += bytes;
-    }
-
-    /// Bytes recorded within the window ending at `now`.
-    pub fn bytes_in_window(&mut self, now: SimTime) -> u64 {
-        self.evict(now);
-        self.in_window
-    }
-
-    /// Achieved bandwidth over the window ending at `now`.
-    pub fn rate(&mut self, now: SimTime) -> Bandwidth {
-        let bytes = self.bytes_in_window(now);
-        Bandwidth::measured(bytes, self.window)
-    }
-
-    fn evict(&mut self, now: SimTime) {
-        // Keep samples whose age is at most the window length.
-        while let Some(&(t, b)) = self.samples.front() {
-            if now.saturating_duration_since(t) > self.window {
-                self.samples.pop_front();
-                self.in_window -= b;
-            } else {
-                break;
-            }
-        }
-    }
-}
 
 /// A closed busy interval `[start, end)` plus the busy time of every
 /// closed interval before it (ns since the tracker was created).
@@ -299,26 +242,6 @@ mod tests {
     }
     fn d(ns: u64) -> SimDuration {
         SimDuration::from_nanos(ns)
-    }
-
-    #[test]
-    fn sliding_rate_measures_window_only() {
-        let mut m = SlidingRate::new(d(100));
-        m.record(t(0), 1_000);
-        m.record(t(50), 500);
-        assert_eq!(m.bytes_in_window(t(60)), 1_500);
-        // At t=150 the t=0 sample has aged out (age 150 > 100).
-        assert_eq!(m.bytes_in_window(t(150)), 500);
-        // At t=151 the t=50 sample is exactly at age 101 > window.
-        assert_eq!(m.bytes_in_window(t(151)), 0);
-    }
-
-    #[test]
-    fn sliding_rate_bandwidth() {
-        let mut m = SlidingRate::new(SimDuration::from_secs(1));
-        m.record(t(0), 21_000_000_000);
-        let r = m.rate(t(10));
-        assert!((r.as_gbps() - 21.0).abs() < 1e-6, "{r}");
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Measurement primitives: counters, histograms, time-weighted averages.
+//! Measurement primitives: counters, histograms, moving averages.
 //!
 //! These are the building blocks of every number the benchmark harness
 //! reports. The histogram uses log-linear buckets (HdrHistogram-style) so
 //! latency distributions spanning 80 ns to 500+ ns (and far beyond, under
 //! load) are captured with bounded error and O(1) recording.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use std::fmt;
 
 /// A monotonically increasing event/byte counter.
@@ -244,55 +244,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal (e.g. queue depth,
-/// utilization). Integrates `value × dt` between updates.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    integral: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `start` with initial `value`.
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            last_time: start,
-            last_value: value,
-            integral: 0.0,
-            start,
-        }
-    }
-
-    /// Record that the signal changed to `value` at time `now`.
-    ///
-    /// # Panics
-    /// Panics if `now` precedes the previous update.
-    pub fn update(&mut self, now: SimTime, value: f64) {
-        let dt = now.duration_since(self.last_time).as_secs_f64();
-        self.integral += self.last_value * dt;
-        self.last_time = now;
-        self.last_value = value;
-    }
-
-    /// Current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-
-    /// Average over `[start, now]`. Returns the current value when the
-    /// window is empty.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let total = now.saturating_duration_since(self.start).as_secs_f64();
-        if total <= 0.0 {
-            return self.last_value;
-        }
-        let tail = now.saturating_duration_since(self.last_time).as_secs_f64();
-        (self.integral + self.last_value * tail) / total
-    }
-}
-
 /// Exponentially weighted moving average with a configurable smoothing
 /// factor; used for link-utilization estimates that feed the loaded-latency
 /// model.
@@ -424,22 +375,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), 10);
         assert_eq!(a.max(), 1_000_000);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let t = |ns| SimTime::from_nanos(ns);
-        let mut tw = TimeWeighted::new(t(0), 0.0);
-        tw.update(t(500_000_000), 1.0); // 0.0 for first half-second
-        let avg = tw.average(t(1_000_000_000)); // 1.0 for second half
-        assert!((avg - 0.5).abs() < 1e-9, "avg {avg}");
-        assert_eq!(tw.current(), 1.0);
-    }
-
-    #[test]
-    fn time_weighted_empty_window() {
-        let tw = TimeWeighted::new(SimTime::from_nanos(5), 3.0);
-        assert_eq!(tw.average(SimTime::from_nanos(5)), 3.0);
     }
 
     #[test]

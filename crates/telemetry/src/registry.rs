@@ -151,6 +151,11 @@ impl MetricRegistry {
         self.counters[id.0].get()
     }
 
+    /// Current samples of a histogram handle.
+    pub fn histogram_value(&self, id: HistogramId) -> &Histogram {
+        &self.histograms[id.0]
+    }
+
     // ----- absolute-fill API for exporters -----
 
     /// Publish a whole [`Counter`] (value plus sticky overflow flag) under
@@ -241,6 +246,7 @@ mod tests {
         let h = r.histogram("lat", &[]);
         r.record(h, 100);
         r.record_duration(h, SimDuration::from_nanos(300));
+        assert_eq!(r.histogram_value(h).max(), 300, "live before a snapshot");
         let snap = r.snapshot();
         assert_eq!(snap.gauge("util", &[]), Some(0.75));
         assert_eq!(snap.histogram("lat", &[]).unwrap().count(), 2);
