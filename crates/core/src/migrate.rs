@@ -31,7 +31,8 @@ pub struct MigrationReport {
 }
 
 /// Migrate `seg` to server `dst`. No-op (zero-byte report) when `dst`
-/// already holds it.
+/// already holds it. An unknown `dst` is refused as
+/// [`PoolError::InvalidRequest`] before anything is charged.
 ///
 /// The copy is destination-pull: `dst` reads every frame from the source
 /// over the fabric, then the maps switch atomically (the simulator's
@@ -44,6 +45,7 @@ pub fn migrate_segment(
     seg: SegmentId,
     dst: NodeId,
 ) -> Result<MigrationReport, PoolError> {
+    pool.check_server(dst)?;
     let loc = pool
         .global_map()
         .peek(seg)
@@ -100,7 +102,12 @@ pub fn migrate_segment(
                 .map_err(|_| PoolError::Internal("migrated frame was not allocated"))?;
         }
     }
-    let new_loc = pool.global_mut().relocate(seg, dst);
+    let new_loc = pool
+        .global_mut()
+        .relocate(seg, dst)
+        .ok_or(PoolError::Internal(
+            "migrated segment unknown to global map",
+        ))?;
     let report = MigrationReport {
         segment: seg,
         from: src,

@@ -150,6 +150,7 @@ struct PoolQos {
 }
 
 /// One frame chunk of one batch op, as the batch planner sorts it.
+#[derive(Debug)]
 struct Chunk {
     holder: u32,
     write: bool,
@@ -160,7 +161,7 @@ struct Chunk {
     /// The op's first chunk: counting these counts a stream's ops.
     first: bool,
     bytes: u64,
-    frame: lmp_mem::FrameId,
+    frame: FrameId,
 }
 
 impl Chunk {
@@ -176,6 +177,7 @@ impl Chunk {
 }
 
 /// A coalesced run: chunks `lo..hi` of the sorted chunk list.
+#[derive(Debug)]
 struct Run {
     lo: usize,
     hi: usize,
@@ -186,6 +188,33 @@ struct Run {
     done: SimTime,
 }
 
+/// The batch planner's buffers. The pool keeps them from batch to batch,
+/// so a warm pool plans without allocating, and clears them at the start
+/// of every batch, so a batch that failed partway leaves nothing behind.
+#[derive(Debug, Default)]
+struct Plan {
+    /// Distinct segments' locations, sorted by segment id.
+    locs: Vec<(SegmentId, SegmentLoc)>,
+    /// Every op's frame chunks, in stream order once sorted.
+    chunks: Vec<Chunk>,
+    /// The sorted chunks' frames, in the same order.
+    frames: Vec<FrameId>,
+    /// Coalesced runs over the sorted chunks.
+    runs: Vec<Run>,
+    /// One remote stream's run sizes.
+    sizes: Vec<u64>,
+}
+
+impl Plan {
+    fn clear(&mut self) {
+        self.locs.clear();
+        self.chunks.clear();
+        self.frames.clear();
+        self.runs.clear();
+        self.sizes.clear();
+    }
+}
+
 /// The rack-wide logical memory pool.
 #[derive(Debug)]
 pub struct LogicalPool {
@@ -194,7 +223,7 @@ pub struct LogicalPool {
     global: GlobalMap,
     locals: Vec<LocalMap>,
     tlbs: Vec<Option<TranslationCache>>,
-    segment_len: BTreeMap<SegmentId, u64>,
+    plan: Plan,
     next_segment: u64,
     rr_cursor: u32,
     local_accesses: Counter,
@@ -239,7 +268,7 @@ impl LogicalPool {
             global: GlobalMap::new(),
             locals,
             tlbs,
-            segment_len: BTreeMap::new(),
+            plan: Plan::default(),
             next_segment: 0,
             rr_cursor: 0,
             local_accesses: Counter::new(),
@@ -326,7 +355,7 @@ impl LogicalPool {
 
     /// Length of a segment in bytes.
     pub fn segment_len(&self, seg: SegmentId) -> Option<u64> {
-        self.segment_len.get(&seg).copied()
+        self.global.row(seg).map(|r| r.len)
     }
 
     /// Current holder of a segment.
@@ -410,23 +439,20 @@ impl LogicalPool {
             })?;
         let seg = SegmentId(self.next_segment);
         self.next_segment += 1;
-        self.global.insert(seg, server);
+        self.global.insert(seg, server, len);
         self.locals[server.0 as usize].insert(seg, frame_ids);
-        self.segment_len.insert(seg, len);
         Ok(seg)
     }
 
-    /// Free a pool buffer.
+    /// Free a pool buffer. Its frames return to the holder's allocator
+    /// even while the holder is down, so a warm revive finds them free.
     pub fn free(&mut self, seg: SegmentId) -> Result<(), PoolError> {
         let loc = self.global.remove(seg).ok_or(PoolError::UnknownSegment(seg))?;
-        self.segment_len.remove(&seg);
         if let Some(frames) = self.locals[loc.server.0 as usize].remove(seg) {
-            if !self.nodes[loc.server.0 as usize].is_failed() {
-                for f in frames {
-                    self.nodes[loc.server.0 as usize]
-                        .free(f)
-                        .map_err(|_| PoolError::Internal("local map frame not allocated"))?;
-                }
+            for f in frames {
+                self.nodes[loc.server.0 as usize]
+                    .free(f)
+                    .map_err(|_| PoolError::Internal("local map frame not allocated"))?;
             }
         }
         for tlb in self.tlbs.iter_mut().flatten() {
@@ -481,25 +507,26 @@ impl LogicalPool {
         }
     }
 
-    fn check_bounds(&self, addr: LogicalAddr, len: u64) -> Result<(), PoolError> {
-        let seg_len = self
-            .segment_len
-            .get(&addr.segment)
-            .copied()
+    /// Check that `len` bytes at `addr` lie inside a live segment, and
+    /// return the segment's location.
+    fn check_bounds(&self, addr: LogicalAddr, len: u64) -> Result<SegmentLoc, PoolError> {
+        let row = self
+            .global
+            .row(addr.segment)
             .ok_or(PoolError::UnknownSegment(addr.segment))?;
         // `offset + len` can wrap on a hostile `len`, which would slip a
         // huge access past the check — saturate the reported end instead.
         match addr.offset.checked_add(len) {
-            Some(end) if end <= seg_len => Ok(()),
+            Some(end) if end <= row.len => Ok(row.loc),
             overflowed_or_past_end => Err(PoolError::OutOfBounds {
                 segment: addr.segment,
                 end: overflowed_or_past_end.unwrap_or(u64::MAX),
-                len: seg_len,
+                len: row.len,
             }),
         }
     }
 
-    fn check_server(&self, server: NodeId) -> Result<(), PoolError> {
+    pub(crate) fn check_server(&self, server: NodeId) -> Result<(), PoolError> {
         if server.0 < self.config.servers {
             Ok(())
         } else {
@@ -674,6 +701,31 @@ impl LogicalPool {
                 holder_done: Vec::new(),
             });
         }
+        let mut plan = std::mem::take(&mut self.plan);
+        plan.clear();
+        let result = self.plan_batch(&mut plan, fabric, now, requester, ops, band);
+        self.plan = plan;
+        result
+    }
+
+    /// Validate, plan and commit a nonempty batch in `plan`'s cleared
+    /// buffers.
+    fn plan_batch(
+        &mut self,
+        plan: &mut Plan,
+        fabric: &mut Fabric,
+        now: SimTime,
+        requester: NodeId,
+        ops: &[BatchOp],
+        band: Band,
+    ) -> Result<BatchResult, PoolError> {
+        let Plan {
+            locs,
+            chunks,
+            frames,
+            runs,
+            sizes,
+        } = plan;
         // ---- validate: nothing is charged until every op clears ----
         let idle = PoolAccess {
             complete: now,
@@ -682,8 +734,6 @@ impl LogicalPool {
             faults: 0,
         };
         let mut accesses = vec![idle; ops.len()];
-        // Distinct segments' locations, sorted by segment id.
-        let mut locs: Vec<(SegmentId, SegmentLoc)> = Vec::new();
         for (o, a) in ops.iter().zip(&mut accesses) {
             let seg = o.addr.segment;
             let Err(pos) = locs.binary_search_by_key(&seg, |&(s, _)| s) else {
@@ -710,7 +760,6 @@ impl LogicalPool {
         }
 
         // ---- plan: one chunk list in stream order, runs as ranges ----
-        let mut chunks: Vec<Chunk> = Vec::with_capacity(ops.len());
         for (i, o) in ops.iter().enumerate() {
             let seg = o.addr.segment;
             let holder = locs
@@ -740,11 +789,10 @@ impl LogicalPool {
         // unique (an op's chunks have distinct offsets), so the unstable
         // sort is deterministic.
         chunks.sort_unstable_by_key(Chunk::key);
-        let frames: Vec<lmp_mem::FrameId> = chunks.iter().map(|c| c.frame).collect();
+        frames.extend(chunks.iter().map(|c| c.frame));
         // Coalesce byte-contiguous chunks of one stream and segment into
         // runs of at most one frame, so a run is a realistic DRAM burst
         // and fabric streams keep chunk-level wire pipelining.
-        let mut runs: Vec<Run> = Vec::new();
         for (ci, c) in chunks.iter().enumerate() {
             match runs.last_mut() {
                 Some(r)
@@ -772,7 +820,6 @@ impl LogicalPool {
         // One entry per holder, in node order: a holder completes at the
         // max over its streams, one schedulable event per holder.
         let mut holder_done: Vec<(NodeId, SimTime)> = Vec::new();
-        let mut sizes: Vec<u64> = Vec::new();
         for stream in runs.chunk_by_mut(|a, b| chunks[a.lo].stream() == chunks[b.lo].stream()) {
             let members = &chunks[stream[0].lo..stream[stream.len() - 1].hi];
             let (holder_idx, is_write) = members[0].stream();
@@ -800,7 +847,7 @@ impl LogicalPool {
                 // Unreachable after the port pre-flight (port state cannot
                 // change mid-call); kept as defence in depth.
                 let bt = fabric
-                    .transfer_batch_banded(now, requester, holder, op, &sizes, stream_ops, band)
+                    .transfer_batch_banded(now, requester, holder, op, sizes, stream_ops, band)
                     .map_err(|e| match e {
                         FabricError::RequesterDown(n) => PoolError::ServerDown(n),
                         FabricError::HolderDown(_) => PoolError::SegmentLost(members[0].seg),
@@ -850,11 +897,7 @@ impl LogicalPool {
 
     /// Materialized write of `data` at `addr` (correctness path; no timing).
     pub fn write_bytes(&mut self, addr: LogicalAddr, data: &[u8]) -> Result<(), PoolError> {
-        self.check_bounds(addr, data.len() as u64)?;
-        let loc = self
-            .global
-            .peek(addr.segment)
-            .ok_or(PoolError::UnknownSegment(addr.segment))?;
+        let loc = self.check_bounds(addr, data.len() as u64)?;
         if self.nodes[loc.server.0 as usize].is_failed() {
             return Err(PoolError::SegmentLost(addr.segment));
         }
@@ -882,11 +925,7 @@ impl LogicalPool {
     /// after it, so a read at an 8-aligned offset yields runs of whole
     /// u64 elements except for a short tail at its end.
     pub fn read_runs(&self, addr: LogicalAddr, len: u64) -> Result<ReadRuns<'_>, PoolError> {
-        self.check_bounds(addr, len)?;
-        let loc = self
-            .global
-            .peek(addr.segment)
-            .ok_or(PoolError::UnknownSegment(addr.segment))?;
+        let loc = self.check_bounds(addr, len)?;
         let node = &self.nodes[loc.server.0 as usize];
         if node.is_failed() {
             return Err(PoolError::SegmentLost(addr.segment));
@@ -984,21 +1023,23 @@ impl LogicalPool {
             .global
             .peek(replica)
             .ok_or(PoolError::Internal("replica segment unknown to global map"))?;
+        let old = self.global.peek(seg).ok_or(PoolError::Internal(
+            "promoted segment unknown to global map",
+        ))?;
         let frames = self.locals[rloc.server.0 as usize]
             .remove(replica)
             .ok_or(PoolError::Internal("replica segment has no frames"))?;
-        let rlen = self
-            .segment_len
-            .remove(&replica)
-            .ok_or(PoolError::Internal("replica segment has no length"))?;
-        // Forget the segment's stale presence on its crashed home.
-        if let Some(old) = self.global.peek(seg) {
-            self.locals[old.server.0 as usize].remove(seg);
-        }
+        // Forget the segment's stale presence on its crashed home. The
+        // replica was allocated at the segment's length, so the segment's
+        // row keeps its length.
+        self.locals[old.server.0 as usize].remove(seg);
         self.locals[rloc.server.0 as usize].insert(seg, frames);
         self.global.remove(replica);
-        self.global.relocate(seg, rloc.server);
-        self.segment_len.insert(seg, rlen);
+        self.global
+            .relocate(seg, rloc.server)
+            .ok_or(PoolError::Internal(
+                "promoted segment unknown to global map",
+            ))?;
         for tlb in self.tlbs.iter_mut().flatten() {
             tlb.invalidate(seg);
             tlb.invalidate(replica);
@@ -1012,7 +1053,6 @@ impl LogicalPool {
         if let Some(loc) = self.global.remove(seg) {
             self.locals[loc.server.0 as usize].remove(seg);
         }
-        self.segment_len.remove(&seg);
         for tlb in self.tlbs.iter_mut().flatten() {
             tlb.invalidate(seg);
         }
@@ -1027,9 +1067,7 @@ impl LogicalPool {
         data: &[u8],
     ) -> Result<(), PoolError> {
         let len = self
-            .segment_len
-            .get(&seg)
-            .copied()
+            .segment_len(seg)
             .ok_or(PoolError::UnknownSegment(seg))?;
         if data.len() as u64 != len {
             return Err(PoolError::Internal("reconstruction length mismatch"));
@@ -1052,7 +1090,9 @@ impl LogicalPool {
             cursor += chunk;
         }
         self.locals[target.0 as usize].insert(seg, frame_ids);
-        self.global.relocate(seg, target);
+        self.global
+            .relocate(seg, target)
+            .ok_or(PoolError::Internal("rehomed segment unknown to global map"))?;
         for tlb in self.tlbs.iter_mut().flatten() {
             tlb.invalidate(seg);
         }
@@ -1653,6 +1693,76 @@ mod tests {
     #[test]
     fn resize_of_unknown_server_is_refused() {
         assert_unknown_server_refused(|p, _, n, _| p.resize_shared(n, FRAME_BYTES));
+    }
+
+    #[test]
+    fn migrate_to_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, f, n, a| {
+            crate::migrate::migrate_segment(p, f, SimTime::ZERO, a.segment, n)
+        });
+    }
+
+    #[test]
+    fn free_on_crashed_holder_returns_its_frames() {
+        let (mut p, _) = small_pool();
+        let seg = p.alloc(4 * FRAME_BYTES, Placement::On(NodeId(2))).unwrap();
+        p.write_bytes(LogicalAddr::new(seg, 0), b"doomed").unwrap();
+        p.crash_server(NodeId(2));
+        p.free(seg).unwrap();
+        p.revive_server(NodeId(2));
+        assert_eq!(p.free_shared_frames(NodeId(2)), 16);
+        assert_eq!(p.node(NodeId(2)).materialized_frames(), 0);
+    }
+
+    /// A batch that fails partway through validation, after translating
+    /// other segments, leaves nothing in the planner's reused buffers: the
+    /// next batch plans exactly as on a fresh pool that only took the
+    /// failed batch's translations.
+    #[test]
+    fn failed_batch_leaves_no_plan_behind() {
+        let setup = || {
+            let (mut p, f) = small_pool();
+            p.attach_telemetry();
+            let segs: Vec<SegmentId> = (1..4)
+                .map(|n| p.alloc(2 * FRAME_BYTES, Placement::On(NodeId(n))).unwrap())
+                .collect();
+            p.crash_server(NodeId(3));
+            (p, f, segs)
+        };
+        let at = LogicalAddr::new;
+        let valid = |s: &[SegmentId]| {
+            [
+                BatchOp::write(at(s[1], 0), 4096),
+                BatchOp::read(at(s[0], FRAME_BYTES - 100), 200),
+                BatchOp::read(at(s[1], 64), 64),
+            ]
+        };
+        let state = |p: &mut LogicalPool, f: &mut Fabric| {
+            let tlb = p.tlb(NodeId(0)).unwrap();
+            (
+                (tlb.hit_count(), tlb.miss_count(), tlb.stale_count()),
+                p.global_map().lookup_count(),
+                crate::observe::rack_snapshot(p, f, SimTime::ZERO).to_json(),
+            )
+        };
+
+        let (mut a, mut fa, segs) = setup();
+        let failing = [
+            BatchOp::read(at(segs[0], 0), 64),
+            BatchOp::write(at(segs[1], FRAME_BYTES - 8), 16),
+            BatchOp::read(at(segs[2], 0), 64),
+        ];
+        let r = a.access_batch(&mut fa, SimTime::ZERO, NodeId(0), &failing);
+        assert_eq!(r, Err(PoolError::SegmentLost(segs[2])));
+        let got = a.access_batch(&mut fa, SimTime::ZERO, NodeId(0), &valid(&segs));
+
+        let (mut b, mut fb, segs) = setup();
+        for s in &segs {
+            b.translate(NodeId(0), *s).unwrap();
+        }
+        let want = b.access_batch(&mut fb, SimTime::ZERO, NodeId(0), &valid(&segs));
+        assert_eq!(got, want);
+        assert_eq!(state(&mut a, &mut fa), state(&mut b, &mut fb));
     }
 
     #[test]

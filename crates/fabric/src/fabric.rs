@@ -31,7 +31,7 @@ pub struct FabricCompletion {
 }
 
 /// Completion report for one coalesced batch stream
-/// ([`Fabric::transfer_batch`]).
+/// ([`Fabric::transfer_batch_banded`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchTransfer {
     /// Instant the whole stream is complete at the requester. For writes
@@ -569,22 +569,10 @@ impl Fabric {
     ///
     /// Returns [`FabricError::Contract`] for a self-transfer, an empty
     /// chunk list, or zero `ops`.
-    pub fn transfer_batch(
-        &mut self,
-        now: SimTime,
-        requester: NodeId,
-        holder: NodeId,
-        op: MemOp,
-        chunks: &[u64],
-        ops: u64,
-    ) -> Result<BatchTransfer, FabricError> {
-        self.transfer_batch_banded(now, requester, holder, op, chunks, ops, Band::Normal)
-    }
-
-    /// [`Fabric::transfer_batch`] with an explicit priority band. With
-    /// bands disabled (the default) the band is ignored and the wire
-    /// schedule is byte-identical to [`Fabric::transfer_batch`].
-    #[allow(clippy::too_many_arguments)] // mirrors transfer_batch plus the band
+    ///
+    /// `band` picks the priority band each wire charge rides. With bands
+    /// disabled (the default) it is ignored.
+    #[allow(clippy::too_many_arguments)]
     pub fn transfer_batch_banded(
         &mut self,
         now: SimTime,
@@ -1043,7 +1031,15 @@ mod tests {
         let mut b = Fabric::new(LinkProfile::link1(), 3);
         let single = a.try_read(t(0), NodeId(0), NodeId(1), 4096).unwrap();
         let batch = b
-            .transfer_batch(t(0), NodeId(0), NodeId(1), MemOp::Read, &[4096], 1)
+            .transfer_batch_banded(
+                t(0),
+                NodeId(0),
+                NodeId(1),
+                MemOp::Read,
+                &[4096],
+                1,
+                Band::Normal,
+            )
             .unwrap();
         assert_eq!(batch.complete, single.complete);
         assert_eq!(batch.latency, single.latency);
@@ -1051,7 +1047,15 @@ mod tests {
 
         let ws = a.try_write(t(0), NodeId(0), NodeId(2), 4096).unwrap();
         let wb = b
-            .transfer_batch(t(0), NodeId(0), NodeId(2), MemOp::Write, &[4096], 1)
+            .transfer_batch_banded(
+                t(0),
+                NodeId(0),
+                NodeId(2),
+                MemOp::Write,
+                &[4096],
+                1,
+                Band::Normal,
+            )
             .unwrap();
         assert_eq!(wb.complete, ws.complete);
     }
@@ -1067,13 +1071,14 @@ mod tests {
         }
         let mut batched = Fabric::new(LinkProfile::link1(), 2);
         let bt = batched
-            .transfer_batch(
+            .transfer_batch_banded(
                 t(0),
                 NodeId(0),
                 NodeId(1),
                 MemOp::Read,
                 &vec![chunk; n],
                 n as u64,
+                Band::Normal,
             )
             .unwrap();
         assert!(
@@ -1090,10 +1095,26 @@ mod tests {
     #[test]
     fn batch_counters_track_logical_ops() {
         let mut f = Fabric::new(LinkProfile::link0(), 3);
-        f.transfer_batch(t(0), NodeId(0), NodeId(1), MemOp::Read, &[64, 64], 5)
-            .unwrap();
-        f.transfer_batch(t(0), NodeId(0), NodeId(2), MemOp::Write, &[64], 3)
-            .unwrap();
+        f.transfer_batch_banded(
+            t(0),
+            NodeId(0),
+            NodeId(1),
+            MemOp::Read,
+            &[64, 64],
+            5,
+            Band::Normal,
+        )
+        .unwrap();
+        f.transfer_batch_banded(
+            t(0),
+            NodeId(0),
+            NodeId(2),
+            MemOp::Write,
+            &[64],
+            3,
+            Band::Normal,
+        )
+        .unwrap();
         assert_eq!(f.read_count(), 5, "reads counter carries the op count");
         assert_eq!(f.write_count(), 3);
         // One stream, one latency record.
@@ -1105,11 +1126,27 @@ mod tests {
         let mut f = Fabric::new(LinkProfile::link0(), 3);
         f.set_port_down(NodeId(1), true);
         assert_eq!(
-            f.transfer_batch(t(0), NodeId(0), NodeId(1), MemOp::Read, &[64], 1),
+            f.transfer_batch_banded(
+                t(0),
+                NodeId(0),
+                NodeId(1),
+                MemOp::Read,
+                &[64],
+                1,
+                Band::Normal
+            ),
             Err(FabricError::HolderDown(NodeId(1)))
         );
         assert_eq!(
-            f.transfer_batch(t(0), NodeId(1), NodeId(2), MemOp::Write, &[64], 1),
+            f.transfer_batch_banded(
+                t(0),
+                NodeId(1),
+                NodeId(2),
+                MemOp::Write,
+                &[64],
+                1,
+                Band::Normal
+            ),
             Err(FabricError::RequesterDown(NodeId(1)))
         );
         // Failed streams leave the counters untouched.
@@ -1150,8 +1187,16 @@ mod tests {
             .try_read_banded(t(0), NodeId(0), NodeId(1), 4096, Band::Normal)
             .unwrap();
         let mut fifo = Fabric::new(LinkProfile::link1(), 3);
-        fifo.transfer_batch(t(0), NodeId(0), NodeId(1), MemOp::Write, &[2_100_000], 1)
-            .unwrap();
+        fifo.transfer_batch_banded(
+            t(0),
+            NodeId(0),
+            NodeId(1),
+            MemOp::Write,
+            &[2_100_000],
+            1,
+            Band::Normal,
+        )
+        .unwrap();
         let c_fifo = fifo.try_read(t(0), NodeId(0), NodeId(1), 4096).unwrap();
         assert!(
             c.complete < c_fifo.complete,

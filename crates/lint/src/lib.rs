@@ -148,7 +148,9 @@ pub mod transition {
 /// a semantic property no call graph can infer.
 pub const R4_ARITH_FILES: &[&str] = &[
     "crates/core/src/addr.rs",
+    "crates/core/src/translate.rs",
     "crates/mem/src/frame.rs",
+    "crates/mem/src/store.rs",
 ];
 
 /// Classify `path` (any separator style) for the file-local rules. Since

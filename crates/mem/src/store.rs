@@ -7,12 +7,18 @@
 //! frame backing lazily. The two modes share all control-path code.
 
 use crate::frame::{FrameId, FRAME_BYTES};
-use std::collections::BTreeMap;
 
 /// Lazily materialized byte backing for a node's frames.
+///
+/// One slot per frame id, empty while the frame is unmaterialized. The
+/// table grows to the highest frame written and is never presized; frame
+/// ids are dense per node, so it is as long as the node's frame count at
+/// most.
 #[derive(Debug, Default)]
 pub struct FrameStore {
-    frames: BTreeMap<FrameId, Box<[u8]>>,
+    frames: Vec<Option<Box<[u8]>>>,
+    /// Slots that are not empty.
+    materialized: usize,
 }
 
 impl FrameStore {
@@ -23,7 +29,23 @@ impl FrameStore {
 
     /// Number of frames currently materialized.
     pub fn materialized(&self) -> usize {
-        self.frames.len()
+        self.materialized
+    }
+
+    /// `frame`'s slot, growing the table with empty slots up to it.
+    fn slot_mut(&mut self, frame: FrameId) -> &mut Option<Box<[u8]>> {
+        let i = frame.0 as usize;
+        if i >= self.frames.len() {
+            self.frames.resize_with(i.saturating_add(1), || None);
+        }
+        &mut self.frames[i]
+    }
+
+    /// Install `backing` as `frame`'s bytes.
+    fn put(&mut self, frame: FrameId, backing: Box<[u8]>) {
+        if self.slot_mut(frame).replace(backing).is_none() {
+            self.materialized = self.materialized.saturating_add(1);
+        }
     }
 
     /// Write `data` into `frame` starting at `offset`.
@@ -32,39 +54,50 @@ impl FrameStore {
     /// Panics when the write would cross the frame boundary — callers split
     /// multi-frame operations, mirroring how hardware splits cache lines.
     pub fn write(&mut self, frame: FrameId, offset: u64, data: &[u8]) {
+        let end = offset.checked_add(data.len() as u64);
         // lmp-lint: allow(no-panic) — documented `# Panics` frame-boundary
         // contract, mirroring how hardware faults on cross-line writes.
         assert!(
-            offset + data.len() as u64 <= FRAME_BYTES,
+            end.is_some_and(|end| end <= FRAME_BYTES),
             "write crosses frame boundary: offset {offset} + {} > {FRAME_BYTES}",
             data.len()
         );
-        let backing = self
-            .frames
-            .entry(frame)
-            .or_insert_with(|| vec![0u8; FRAME_BYTES as usize].into_boxed_slice());
-        backing[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+        let slot = self.slot_mut(frame);
+        let fresh = slot.is_none();
+        let backing =
+            slot.get_or_insert_with(|| vec![0u8; FRAME_BYTES as usize].into_boxed_slice());
+        backing[offset as usize..][..data.len()].copy_from_slice(data);
+        if fresh {
+            self.materialized = self.materialized.saturating_add(1);
+        }
     }
 
     /// Borrow `frame`'s whole backing, `FRAME_BYTES` long, or `None` while
     /// the frame is unmaterialized (it reads as zeros, fresh memory).
     pub fn get(&self, frame: FrameId) -> Option<&[u8]> {
-        self.frames.get(&frame).map(|b| &b[..])
+        self.frames.get(frame.0 as usize)?.as_deref()
     }
 
     /// Move `frame`'s backing to `dst_frame` in `dst` without copying it,
     /// leaving `frame` unmaterialized. An unmaterialized `frame` leaves
     /// `dst_frame` unmaterialized too: both read as zeros either way.
     pub fn move_frame(&mut self, frame: FrameId, dst: &mut FrameStore, dst_frame: FrameId) {
-        match self.frames.remove(&frame) {
-            Some(backing) => dst.frames.insert(dst_frame, backing),
-            None => dst.frames.remove(&dst_frame),
-        };
+        match self.take(frame) {
+            Some(backing) => dst.put(dst_frame, backing),
+            None => dst.discard(dst_frame),
+        }
+    }
+
+    /// Take `frame`'s backing out of the store.
+    fn take(&mut self, frame: FrameId) -> Option<Box<[u8]>> {
+        let backing = self.frames.get_mut(frame.0 as usize)?.take()?;
+        self.materialized = self.materialized.saturating_sub(1);
+        Some(backing)
     }
 
     /// Drop a frame's backing (freed or crashed away).
     pub fn discard(&mut self, frame: FrameId) {
-        self.frames.remove(&frame);
+        self.take(frame);
     }
 }
 
@@ -144,5 +177,14 @@ mod tests {
     fn cross_boundary_write_panics() {
         let mut s = FrameStore::new();
         s.write(FrameId(0), FRAME_BYTES - 2, b"xyz");
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses frame boundary")]
+    fn wrapping_offset_is_refused() {
+        // `offset + len` wraps to 0 here: the boundary check must see the
+        // overflow, not the wrapped sum.
+        let mut s = FrameStore::new();
+        s.write(FrameId(0), u64::MAX, b"x");
     }
 }

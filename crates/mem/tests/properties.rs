@@ -5,7 +5,7 @@
 
 use lmp_mem::{
     AccessorId, FrameAllocator, FrameError, FrameId, FrameStore, HotFrame, HotnessMap, RegionKind,
-    RegionSplit,
+    RegionSplit, FRAME_BYTES,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -319,5 +319,88 @@ proptest! {
         }
         let got = s.get(FrameId(0)).map(|b| &b[..model.len()]);
         prop_assert_eq!(got, Some(&model[..]));
+    }
+
+    /// The frame-indexed store holds the same bytes as its ordered-tree
+    /// model under writes, moves and discards, for frame ids on both sides
+    /// of the table's growth boundary and far apart.
+    #[test]
+    fn store_matches_tree_model(
+        ops in proptest::collection::vec(
+            (0u8..4, 0usize..2, 0..STORE_IDS.len(), 0..STORE_IDS.len(), any::<bool>(),
+             proptest::collection::vec(any::<u8>(), 1..16)),
+            1..40,
+        ),
+    ) {
+        let mut stores = [FrameStore::new(), FrameStore::new()];
+        let mut models = [TreeStore::default(), TreeStore::default()];
+        for (kind, side, a, b, tail, data) in ops {
+            let (fa, fb) = (FrameId(STORE_IDS[a]), FrameId(STORE_IDS[b]));
+            match kind {
+                0 | 1 => {
+                    // Near either end of the frame, so a window check sees it.
+                    let off = if tail { FRAME_BYTES - WINDOW } else { 0 } + (b as u64);
+                    stores[side].write(fa, off, &data);
+                    models[side].write(fa, off, &data);
+                }
+                2 => {
+                    let [s0, s1] = &mut stores;
+                    let [m0, m1] = &mut models;
+                    if side == 0 {
+                        s0.move_frame(fa, s1, fb);
+                        m0.move_frame(fa, m1, fb);
+                    } else {
+                        s1.move_frame(fa, s0, fb);
+                        m1.move_frame(fa, m0, fb);
+                    }
+                }
+                _ => {
+                    stores[side].discard(fa);
+                    models[side].frames.remove(&fa);
+                }
+            }
+            for (s, m) in stores.iter().zip(&models) {
+                prop_assert_eq!(s.materialized(), m.frames.len());
+                for id in STORE_IDS.into_iter().chain([u64::MAX]) {
+                    let (got, want) = (s.get(FrameId(id)), m.frames.get(&FrameId(id)));
+                    prop_assert_eq!(got.is_some(), want.is_some());
+                    if let (Some(got), Some(want)) = (got, want) {
+                        prop_assert_eq!(got.len(), want.len());
+                        let w = WINDOW as usize;
+                        prop_assert_eq!(&got[..w], &want[..w]);
+                        prop_assert_eq!(&got[got.len() - w..], &want[want.len() - w..]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Frame ids around the store's growth boundaries, plus far ones.
+const STORE_IDS: [u64; 8] = [0, 1, 3, 7, 8, 63, 64, 30_000];
+
+/// Bytes compared at each end of a frame; every write lands inside them.
+const WINDOW: u64 = 64;
+
+/// The store as the ordered tree it used to be, kept as a model.
+#[derive(Default)]
+struct TreeStore {
+    frames: BTreeMap<FrameId, Box<[u8]>>,
+}
+
+impl TreeStore {
+    fn write(&mut self, frame: FrameId, offset: u64, data: &[u8]) {
+        let backing = self
+            .frames
+            .entry(frame)
+            .or_insert_with(|| vec![0u8; FRAME_BYTES as usize].into_boxed_slice());
+        backing[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+    }
+
+    fn move_frame(&mut self, frame: FrameId, dst: &mut TreeStore, dst_frame: FrameId) {
+        match self.frames.remove(&frame) {
+            Some(backing) => dst.frames.insert(dst_frame, backing),
+            None => dst.frames.remove(&dst_frame),
+        };
     }
 }
