@@ -6,14 +6,13 @@
 //! architectures by running the identical workload on each.
 
 use crate::config::{ClusterConfig, PoolArch};
-use lmp_compute::{scan_ranges, DistVector, ScanOutcome, ScanParams};
+use lmp_compute::scan::{self, LogicalScan, Repeat, ScanBackend, ScanOp, ScanRun, Served};
+use lmp_compute::{DistVector, ScanOutcome, ScanParams};
 use lmp_core::prelude::*;
 use lmp_fabric::{Fabric, NodeId};
-use lmp_mem::{FrameId, FRAME_BYTES};
-use lmp_physical::{PhysicalPool, PoolCache};
+use lmp_mem::{DramChannel, FrameId, FRAME_BYTES};
+use lmp_physical::{AdmissionPolicy, CachePath, PhysicalPool, PoolCache};
 use lmp_sim::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Why a workload cannot run on a deployment (the Figure 5 outcome).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -260,6 +259,8 @@ impl Cluster {
 
     /// Scan the whole vector from `server` with `params.cores` parallel
     /// streams — the §4.1 aggregation microbenchmark's access pattern.
+    /// An unknown `server` or invalid `params` fail before anything is
+    /// charged.
     pub fn scan_vector(
         &mut self,
         start: SimTime,
@@ -267,33 +268,45 @@ impl Cluster {
         handle: &VectorHandle,
         params: ScanParams,
     ) -> Result<ScanOutcome, ClusterError> {
+        Ok(self
+            .scan_using(start, server, handle, params, Engine::FastForward)?
+            .outcome)
+    }
+
+    /// Run `engine` (the fast-forwarding [`scan::run`], or in tests the
+    /// stepping reference) over this deployment's backend.
+    fn scan_using(
+        &mut self,
+        start: SimTime,
+        server: NodeId,
+        handle: &VectorHandle,
+        params: ScanParams,
+        engine: Engine,
+    ) -> Result<ScanRun, ClusterError> {
         match (&mut self.backend, handle) {
             (Backend::Logical(pool), VectorHandle::Logical(v)) => {
                 let ranges: Vec<(SegmentId, u64, u64)> =
                     v.stripes.iter().map(|(_, s, l)| (*s, 0, *l)).collect();
-                Ok(scan_ranges(
-                    pool,
-                    &mut self.fabric,
-                    start,
-                    server,
-                    &ranges,
-                    params,
-                )?)
+                let mut scan = LogicalScan::new(pool, &mut self.fabric, server, &ranges);
+                Ok(engine.run(&mut scan, start, params)?)
             }
             (Backend::Physical { pool, caches }, VectorHandle::Physical { frames, len }) => {
                 if self.pool_node.is_none() {
                     return Err(ClusterError::Backend("physical cluster has no pool node"));
                 }
-                Ok(scan_physical(
+                let mut scan = PhysicalScan {
                     pool,
-                    caches.as_mut(),
-                    &mut self.fabric,
-                    start,
+                    cache: caches
+                        .as_mut()
+                        .and_then(|c| c.get_mut(server.0 as usize)),
+                    fabric: &mut self.fabric,
                     server,
+                    servers: self.config.servers,
                     frames,
-                    *len,
-                    params,
-                )?)
+                    len: *len,
+                    admitted: Vec::new(),
+                };
+                Ok(engine.run(&mut scan, start, params)?)
             }
             _ => Err(ClusterError::Backend("handle from another cluster architecture")),
         }
@@ -345,67 +358,201 @@ pub struct AggregationResult {
     pub per_rep_gbps: Vec<f64>,
 }
 
-/// Multi-core closed-loop scan over physical-pool frames, with or without
-/// the local cache. Invalid `params` fail before anything is charged.
-#[allow(clippy::too_many_arguments)]
-fn scan_physical(
-    pool: &mut PhysicalPool,
-    mut caches: Option<&mut Vec<PoolCache>>,
-    fabric: &mut Fabric,
-    start: SimTime,
+/// Which scan loop [`Cluster::scan`] runs: the engine, or (in tests) the
+/// stepping reference it is checked against.
+#[derive(Clone, Copy)]
+enum Engine {
+    FastForward,
+    #[cfg(test)]
+    Reference,
+}
+
+impl Engine {
+    fn run<B: ScanBackend>(self, b: &mut B, start: SimTime, params: ScanParams) -> Result<ScanRun, PoolError> {
+        match self {
+            Engine::FastForward => scan::run(b, start, params),
+            #[cfg(test)]
+            Engine::Reference => scan::reference::run(b, start, params).map(|outcome| ScanRun {
+                outcome,
+                ops: 0,
+                fast_forwarded: 0,
+            }),
+        }
+    }
+}
+
+/// The physical pool as a scan backend: ops are issued one at a time in
+/// core order, clamped to frames, through the server's cache when the
+/// deployment has one.
+struct PhysicalScan<'a> {
+    pool: &'a mut PhysicalPool,
+    /// The requester's cache, when the deployment has one.
+    cache: Option<&'a mut PoolCache>,
+    fabric: &'a mut Fabric,
     server: NodeId,
-    frames: &[FrameId],
+    servers: u32,
+    frames: &'a [FrameId],
     len: u64,
-    params: ScanParams,
-) -> Result<ScanOutcome, PoolError> {
-    params.check()?;
-    let ScanParams { cores, chunk, per_core } = params;
-    let mut outcome = ScanOutcome {
-        complete: start,
-        local_bytes: 0,
-        remote_bytes: 0,
-    };
-    let per_core_len = len / cores as u64;
-    let remainder = len % cores as u64;
-    let mut heap: BinaryHeap<Reverse<(SimTime, u64, u64, u64)>> = BinaryHeap::new();
-    let mut cursor = 0u64;
-    for c in 0..cores as u64 {
-        let slice = per_core_len + if c < remainder { 1 } else { 0 };
-        if slice > 0 {
-            heap.push(Reverse((start, c, cursor, slice)));
-        }
-        cursor += slice;
+    /// Frames a repeated round admits before they are noted.
+    admitted: Vec<FrameId>,
+}
+
+/// [`Served::path`] codes: the uncached read, then each [`CachePath`].
+const PATHS: [Option<CachePath>; 5] = [
+    None,
+    Some(CachePath::Hit),
+    Some(CachePath::Admit),
+    Some(CachePath::Bypass),
+    Some(CachePath::Evict),
+];
+
+fn path_code(path: Option<CachePath>) -> u8 {
+    PATHS.iter().position(|p| *p == path).unwrap_or(0) as u8
+}
+
+impl PhysicalScan<'_> {
+    fn frame(&self, pos: u64) -> Result<FrameId, PoolError> {
+        self.frames
+            .get((pos / FRAME_BYTES) as usize)
+            .copied()
+            .ok_or(PoolError::Internal("scan position beyond vector end"))
     }
-    while let Some(Reverse((now, c, pos, left))) = heap.pop() {
-        let frame_idx = (pos / FRAME_BYTES) as usize;
-        let within = pos % FRAME_BYTES;
-        // Clamp to frame boundary so cache accesses are per-frame.
-        let this = left.min(chunk).min(FRAME_BYTES - within);
-        let frame = frames[frame_idx];
-        let complete = match caches.as_deref_mut() {
-            Some(caches) => {
-                let cache = &mut caches[server.0 as usize];
-                let a = cache.access(fabric, pool, now, frame, this);
-                if a.hit {
-                    outcome.local_bytes += this;
-                } else {
-                    outcome.remote_bytes += this;
+}
+
+impl ScanBackend for PhysicalScan<'_> {
+    const WAVES: bool = false;
+
+    fn stream_len(&self) -> u64 {
+        self.len
+    }
+
+    fn check(&self) -> Result<(), PoolError> {
+        // Also keeps the requester's cache and fabric port in range.
+        if self.server.0 < self.servers {
+            Ok(())
+        } else {
+            Err(PoolError::InvalidRequest("unknown server"))
+        }
+    }
+
+    fn op_at(&self, pos: u64, want: u64) -> Option<(u64, u64)> {
+        // Clamp to frame boundaries so cache accesses are per frame.
+        (pos < self.len).then(|| (want.min(FRAME_BYTES - pos % FRAME_BYTES), 0))
+    }
+
+    fn issue(&mut self, now: SimTime, ops: &[ScanOp], served: &mut Vec<Served>) -> Result<SimTime, PoolError> {
+        served.clear();
+        for op in ops {
+            let frame = self.frame(op.pos)?;
+            served.push(match self.cache.as_deref_mut() {
+                Some(cache) => {
+                    let path = cache.path(frame);
+                    let a = cache.access(self.fabric, self.pool, now, frame, op.len);
+                    Served {
+                        complete: a.complete,
+                        local_bytes: if a.hit { op.len } else { 0 },
+                        remote_bytes: if a.hit { 0 } else { op.len },
+                        path: path_code(Some(path)),
+                    }
                 }
-                a.complete
-            }
-            None => {
-                outcome.remote_bytes += this;
-                pool.read(fabric, now, server, this, Some(frame)).complete
-            }
-        };
-        outcome.complete = outcome.complete.max(complete);
-        if left > this {
-            // Pacing: the core also has to consume what it fetched.
-            let next = complete.max(now + per_core.time_to_transfer(this));
-            heap.push(Reverse((next, c, pos + this, left - this)));
+                None => Served {
+                    complete: self.pool.read(self.fabric, now, self.server, op.len, Some(frame)).complete,
+                    local_bytes: 0,
+                    remote_bytes: op.len,
+                    path: path_code(None),
+                },
+            });
+        }
+        Ok(now)
+    }
+
+    fn fabric(&self) -> &Fabric {
+        self.fabric
+    }
+
+    fn fabric_mut(&mut self) -> &mut Fabric {
+        self.fabric
+    }
+
+    fn drams(&self) -> usize {
+        1 + usize::from(self.cache.is_some())
+    }
+
+    fn dram(&self, i: usize) -> &DramChannel {
+        match (i, self.cache.as_deref()) {
+            (1, Some(cache)) => cache.local_dram(),
+            _ => self.pool.memory().dram(),
         }
     }
-    Ok(outcome)
+
+    fn dram_mut(&mut self, i: usize) -> &mut DramChannel {
+        match (i, self.cache.as_deref_mut()) {
+            (1, Some(cache)) => cache.local_dram_mut(),
+            _ => self.pool.memory_mut().dram_mut(),
+        }
+    }
+
+    fn ledger(&self, out: &mut Vec<u64>) {
+        let node = self.pool.memory();
+        out.extend([node.local_access_count(), node.remote_access_count()]);
+    }
+
+    fn finish(&mut self, delta: &[u64], rounds: u64) -> Result<(), PoolError> {
+        if let [local, remote] = delta {
+            self.pool
+                .memory_mut()
+                .add_runs(local.saturating_mul(rounds), remote.saturating_mul(rounds));
+        }
+        Ok(())
+    }
+
+    fn same_paths(&mut self, round: &Repeat<'_>) -> bool {
+        let Some(cache) = self.cache.as_deref() else {
+            return true;
+        };
+        // Residency as the round would find it: frames admitted earlier in
+        // the same round are resident, and count against capacity.
+        self.admitted.clear();
+        for (op, s) in round.ops.iter().zip(round.served) {
+            let Ok(frame) = self.frame(op.pos) else {
+                return false;
+            };
+            let path = if cache.is_resident(frame) || self.admitted.contains(&frame) {
+                CachePath::Hit
+            } else if cache.resident_frames() + (self.admitted.len() as u64) < cache.capacity_frames() {
+                self.admitted.push(frame);
+                CachePath::Admit
+            } else if cache.policy() == AdmissionPolicy::PinUntilFull {
+                CachePath::Bypass
+            } else {
+                // An eviction's victim depends on every stamp: not repeated.
+                return false;
+            };
+            if path_code(Some(path)) != s.path {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn repeat(&mut self, round: &Repeat<'_>) -> Result<(), PoolError> {
+        for (op, s) in round.ops.iter().zip(round.served) {
+            let frame = self.frame(op.pos)?;
+            let path = PATHS.get(s.path as usize).copied().flatten();
+            if let (Some(cache), Some(path)) = (self.cache.as_deref_mut(), path) {
+                cache.note(frame, path);
+            }
+            if path != Some(CachePath::Hit) {
+                // The pool's DRAM served the frame (the whole frame on an
+                // admitting miss): one hotness sample, as `read` records.
+                self.pool
+                    .memory_mut()
+                    .hotness_mut()
+                    .record(frame, self.server.0, 1);
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -413,6 +560,7 @@ mod tests {
     use super::*;
     use lmp_fabric::LinkProfile;
     use lmp_sim::units::GIB;
+    use proptest::prelude::*;
 
     fn paper(arch: PoolArch) -> Cluster {
         Cluster::new(ClusterConfig::paper(arch, LinkProfile::link1()))
@@ -626,5 +774,155 @@ mod tests {
             l.avg_bandwidth_gbps,
             n.avg_bandwidth_gbps
         );
+    }
+
+    #[test]
+    fn unknown_server_is_a_typed_error_that_charges_nothing() {
+        for arch in [PoolArch::Logical, PoolArch::PhysicalCache, PoolArch::PhysicalNoCache] {
+            let mut c = small(arch);
+            let h = c.alloc_vector(2 * FRAME_BYTES, NodeId(0)).unwrap();
+            let servers = c.config().servers;
+            for server in [servers, servers + 5] {
+                let before = match arch {
+                    PoolArch::Logical => None,
+                    _ => Some(physical_counters(&c)),
+                };
+                let err = c.scan_vector(SimTime::ZERO, NodeId(server), &h, ScanParams::default());
+                assert_eq!(
+                    err,
+                    Err(ClusterError::Pool(PoolError::InvalidRequest("unknown server"))),
+                    "{arch:?} server {server}"
+                );
+                if let Some(before) = before {
+                    assert_eq!(physical_counters(&c), before, "{arch:?} charged a refused scan");
+                }
+                assert_eq!(c.fabric().read_count(), 0, "{arch:?}");
+            }
+        }
+    }
+
+    /// Every architecture on both links, at the paper's 8 GB point, skips
+    /// nearly the whole scan: a change that breaks the round comparison
+    /// fails here instead of silently stepping every op.
+    #[test]
+    fn paper_scans_are_mostly_fast_forwarded() {
+        for link in [LinkProfile::link0(), LinkProfile::link1()] {
+            for arch in [PoolArch::Logical, PoolArch::PhysicalCache, PoolArch::PhysicalNoCache] {
+                let mut c = Cluster::new(ClusterConfig::paper(arch, link.clone()));
+                let h = c.alloc_vector(8 * GIB, NodeId(0)).unwrap();
+                let params = ScanParams::with_cores(c.config().cores_per_server);
+                let run = c
+                    .scan_using(SimTime::ZERO, NodeId(0), &h, params, Engine::FastForward)
+                    .unwrap();
+                let share = run.fast_forwarded as f64 / run.ops as f64;
+                assert!(share >= 0.9, "{arch:?} {}: {share:.3} of {} ops", link.name, run.ops);
+            }
+        }
+    }
+
+    /// Everything a physical deployment's scan leaves behind that a later
+    /// access or a report can see, at `now`.
+    fn physical_state(c: &mut Cluster, now: SimTime) -> String {
+        let mut layout = Vec::new();
+        c.fabric.layout(now, &mut layout);
+        let f = &c.fabric;
+        let links: Vec<_> = (0..f.node_count() * 2)
+            .map(|i| {
+                let l = f.link(lmp_fabric::LinkId(i as usize));
+                (l.bytes_sent(), l.transfer_count(), format!("{:?}", l.latency_histogram()))
+            })
+            .collect();
+        let fabric = format!(
+            "{} {} {:?} {links:?}",
+            f.read_count(),
+            f.write_count(),
+            f.read_latency_histogram()
+        );
+        let Backend::Physical { pool, caches } = &mut c.backend else {
+            unreachable!("physical cluster")
+        };
+        let dram = |d: &DramChannel, layout: &mut Vec<u64>| {
+            d.layout(now, layout);
+            format!(
+                "{} {} {:?} {:?}",
+                d.access_count(),
+                d.bytes_accessed(),
+                d.latency_histogram(),
+                d.estimate().value().map(f64::to_bits)
+            )
+        };
+        let node = pool.memory();
+        let mut out = format!(
+            "{fabric} | {} {} {:?} {}",
+            node.local_access_count(),
+            node.remote_access_count(),
+            node.hotness().top_k(usize::MAX),
+            dram(node.dram(), &mut layout)
+        );
+        for cache in caches.iter().flatten() {
+            let resident: Vec<u64> = (0..64)
+                .filter(|&f| cache.is_resident(FrameId(f)))
+                .collect();
+            out += &format!(
+                " | {} {} {} {} {resident:?} {}",
+                cache.hit_count(),
+                cache.miss_count(),
+                cache.eviction_count(),
+                cache.upfront_copy_bytes(),
+                dram(cache.local_dram(), &mut layout)
+            );
+        }
+        format!("{out} | {layout:?}")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+        /// The fast-forwarding engine leaves a physical deployment exactly
+        /// as stepping every op does: outcomes, every counter, histogram,
+        /// estimate and busy schedule, hotness, and cache residency.
+        #[test]
+        fn physical_fast_forward_matches_stepping(
+            cached in any::<bool>(),
+            link0 in any::<bool>(),
+            lru in any::<bool>(),
+            cache_frames in 1u64..40,
+            frames in 1u64..40,
+            tail in 0u64..FRAME_BYTES,
+            cores in 1u32..29,
+            chunk_pick in 0usize..5,
+            reps in 1usize..4,
+            warm in any::<bool>(),
+        ) {
+            let chunk = [FRAME_BYTES, FRAME_BYTES / 2, 3 * FRAME_BYTES / 2, 1_000_000, 2 * FRAME_BYTES + 12_345][chunk_pick];
+            let params = ScanParams { cores, chunk, ..ScanParams::default() };
+            let mut cfg = ClusterConfig::paper(
+                if cached { PoolArch::PhysicalCache } else { PoolArch::PhysicalNoCache },
+                if link0 { LinkProfile::link0() } else { LinkProfile::link1() },
+            );
+            cfg.local_per_server = cache_frames * FRAME_BYTES;
+            cfg.pool_capacity = 64 * FRAME_BYTES;
+            cfg.cache_policy = if lru { AdmissionPolicy::Lru } else { AdmissionPolicy::PinUntilFull };
+            let len = frames * FRAME_BYTES - tail.min(FRAME_BYTES - 1);
+            let mut got = Vec::new();
+            for engine in [Engine::FastForward, Engine::Reference] {
+                let mut c = Cluster::new(cfg.clone());
+                let other = c.alloc_vector(3 * FRAME_BYTES, NodeId(0)).unwrap();
+                let h = c.alloc_vector(len, NodeId(0)).unwrap();
+                let mut now = SimTime::ZERO;
+                if warm {
+                    // Background traffic: another server's scan first.
+                    now = c.scan_using(now, NodeId(1), &other, ScanParams::with_cores(3), engine).unwrap().outcome.complete;
+                }
+                let mut outcomes = Vec::new();
+                for _ in 0..reps {
+                    let out = c.scan_using(now, NodeId(0), &h, params, engine).unwrap().outcome;
+                    now = out.complete;
+                    outcomes.push(out);
+                }
+                let state = physical_state(&mut c, now);
+                got.push((outcomes, state));
+            }
+            prop_assert_eq!(&got[0], &got[1]);
+        }
     }
 }

@@ -56,6 +56,8 @@ impl BatchOp {
 pub struct BatchResult {
     /// When the last op completes at the requester.
     pub complete: SimTime,
+    /// When the batch's last DRAM run completes, before any fabric leg.
+    pub dram_done: SimTime,
     /// Per-op outcomes, in submission order.
     pub ops: Vec<PoolAccess>,
     /// Total bytes served from the requester's own memory.

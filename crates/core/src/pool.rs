@@ -694,6 +694,7 @@ impl LogicalPool {
         if ops.is_empty() {
             return Ok(BatchResult {
                 complete: now,
+                dram_done: now,
                 ops: Vec::new(),
                 local_bytes: 0,
                 remote_bytes: 0,
@@ -877,6 +878,7 @@ impl LogicalPool {
 
         let mut result = BatchResult {
             complete: now,
+            dram_done,
             ops: accesses,
             local_bytes: 0,
             remote_bytes: 0,
@@ -893,6 +895,104 @@ impl LogicalPool {
             t.on_batch(now, requester, ops, &result.ops, dram_done, result.complete);
         }
         Ok(result)
+    }
+
+    // ----- repeating already-timed batches (scan fast-forward) -----
+    //
+    // A scan that settles into rounds repeating relative to the clock
+    // skips whole rounds: their DRAM runs and fabric streams are charged
+    // in bulk ([`DramChannel::fast_forward`], [`Fabric::fast_forward`],
+    // [`MemoryNode::add_runs`]), and these three account the rest of what
+    // `access_batch` would have done for them.
+    //
+    // [`DramChannel::fast_forward`]: lmp_mem::DramChannel::fast_forward
+    // [`MemoryNode::add_runs`]: lmp_mem::MemoryNode::add_runs
+
+    /// Repeat `rounds` times the translations `lookups` (in order) that
+    /// repeated batches from `requester` make, when every one would be
+    /// served without a fault: from a valid cached entry, or with no
+    /// translation cache from the coarse map. Returns `false`, changing
+    /// nothing, when one would miss or fault; `rounds == 0` only checks.
+    pub fn repeat_translations(
+        &mut self,
+        requester: NodeId,
+        lookups: &[SegmentId],
+        rounds: u64,
+    ) -> Result<bool, PoolError> {
+        self.check_server(requester)?;
+        let (global, locals) = (&mut self.global, &self.locals);
+        let valid = |seg: SegmentId, cached: Option<SegmentLoc>| {
+            global.peek(seg).is_some_and(|loc| {
+                cached.is_none_or(|c| c == loc)
+                    && locals.get(loc.server.0 as usize).is_some_and(|l| l.holds(seg))
+            })
+        };
+        match &mut self.tlbs[requester.0 as usize] {
+            Some(tlb) => {
+                if !lookups.iter().all(|&s| tlb.peek(s).is_some_and(|c| valid(s, Some(c)))) {
+                    return Ok(false);
+                }
+                Ok(tlb.repeat_hits(lookups, rounds))
+            }
+            None => {
+                if !lookups.iter().all(|&s| valid(s, None)) {
+                    return Ok(false);
+                }
+                global.add_lookups((lookups.len() as u64).saturating_mul(rounds));
+                Ok(true)
+            }
+        }
+    }
+
+    /// Account `ops`, reads or writes from `requester` repeating
+    /// already-timed batches: one hotness sample and one pool access per
+    /// frame chunk, as [`LogicalPool::access_batch`] counts them.
+    pub fn repeat_chunks(&mut self, requester: NodeId, ops: &[BatchOp]) -> Result<(), PoolError> {
+        self.check_server(requester)?;
+        let (mut local, mut remote) = (0, 0);
+        for o in ops {
+            let seg = o.addr.segment;
+            let holder = self
+                .global
+                .peek(seg)
+                .ok_or(PoolError::UnknownSegment(seg))?
+                .server;
+            let h = holder.0 as usize;
+            let (fine, node) = (&self.locals[h], &mut self.nodes[h]);
+            let mut chunks = 0;
+            for (frame_idx, _, _) in frame_chunks(o.addr, o.len) {
+                let frame = fine.resolve(seg, frame_idx).ok_or(PoolError::Internal(
+                    "fine map missing frame of live segment",
+                ))?;
+                node.hotness_mut().record(frame, requester.0, 1);
+                chunks += 1;
+            }
+            if holder == requester {
+                local += chunks;
+            } else {
+                remote += chunks;
+            }
+        }
+        self.local_accesses.add(local);
+        self.remote_accesses.add(remote);
+        Ok(())
+    }
+
+    /// With telemetry attached, record a repeated batch's instruments and
+    /// spans: `ops` issued by `requester` at `now`, completing as
+    /// `accesses` say, DRAM legs done at `dram_done`.
+    pub fn repeat_telemetry(
+        &mut self,
+        now: SimTime,
+        requester: NodeId,
+        ops: &[BatchOp],
+        accesses: &[PoolAccess],
+        dram_done: SimTime,
+    ) {
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            let complete = accesses.iter().fold(now, |t, a| t.max(a.complete));
+            t.on_batch(now, requester, ops, accesses, dram_done, complete);
+        }
     }
 
     /// Materialized write of `data` at `addr` (correctness path; no timing).
@@ -1029,10 +1129,11 @@ impl LogicalPool {
         let frames = self.locals[rloc.server.0 as usize]
             .remove(replica)
             .ok_or(PoolError::Internal("replica segment has no frames"))?;
-        // Forget the segment's stale presence on its crashed home. The
+        // Forget the segment's stale presence on its crashed home and
+        // return its frames there, so a warm revive finds them free. The
         // replica was allocated at the segment's length, so the segment's
         // row keeps its length.
-        self.locals[old.server.0 as usize].remove(seg);
+        self.release_frames(old.server, seg);
         self.locals[rloc.server.0 as usize].insert(seg, frames);
         self.global.remove(replica);
         self.global
@@ -1047,11 +1148,12 @@ impl LogicalPool {
         Ok(())
     }
 
-    /// Failure handling: forget a segment whose frames died with a crashed
-    /// server (no freeing possible).
+    /// Failure handling: forget a segment whose contents died with a
+    /// crashed server. Its frames return to that server's allocator, so a
+    /// warm revive finds them free.
     pub(crate) fn drop_segment_bookkeeping(&mut self, seg: SegmentId) {
         if let Some(loc) = self.global.remove(seg) {
-            self.locals[loc.server.0 as usize].remove(seg);
+            self.release_frames(loc.server, seg);
         }
         for tlb in self.tlbs.iter_mut().flatten() {
             tlb.invalidate(seg);
@@ -1079,7 +1181,7 @@ impl LogicalPool {
                 requested_frames: frames,
             })?;
         if let Some(old) = self.global.peek(seg) {
-            self.locals[old.server.0 as usize].remove(seg);
+            self.release_frames(old.server, seg);
         }
         // Fill the new frames.
         let node = &mut self.nodes[target.0 as usize];
@@ -1097,6 +1199,15 @@ impl LogicalPool {
             tlb.invalidate(seg);
         }
         Ok(())
+    }
+
+    /// Remove `seg`'s frame list from `server`'s fine map and return the
+    /// frames to that server's allocator.
+    fn release_frames(&mut self, server: NodeId, seg: SegmentId) {
+        let node = &mut self.nodes[server.0 as usize];
+        for f in self.locals[server.0 as usize].remove(seg).into_iter().flatten() {
+            node.release(f);
+        }
     }
 
     pub(crate) fn global_mut(&mut self) -> &mut GlobalMap {
@@ -1718,6 +1829,21 @@ mod tests {
     /// other segments, leaves nothing in the planner's reused buffers: the
     /// next batch plans exactly as on a fresh pool that only took the
     /// failed batch's translations.
+    #[test]
+    fn recovery_returns_the_crashed_homes_frames() {
+        let (mut p, mut f) = small_pool();
+        let seg = p.alloc(4 * FRAME_BYTES, Placement::On(NodeId(2))).unwrap();
+        let mut prot = crate::failure::ProtectionManager::new();
+        prot.mirror(&mut p, &mut f, SimTime::ZERO, seg).unwrap();
+        let affected = p.crash_server(NodeId(2));
+        let report = prot.recover(&mut p, &mut f, SimTime::ZERO, NodeId(2), &affected);
+        assert_eq!(report.promoted, vec![seg]);
+        assert_ne!(p.holder_of(seg), Some(NodeId(2)));
+        p.revive_server(NodeId(2));
+        assert_eq!(p.free_shared_frames(NodeId(2)), 16);
+        assert!(p.global_map().segments_on(NodeId(2)).is_empty());
+    }
+
     #[test]
     fn failed_batch_leaves_no_plan_behind() {
         let setup = || {

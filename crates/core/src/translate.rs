@@ -148,6 +148,11 @@ impl GlobalMap {
     pub fn lookup_count(&self) -> u64 {
         self.lookups.get()
     }
+
+    /// Count `n` more lookups served for a repeated access pattern.
+    pub(crate) fn add_lookups(&mut self, n: u64) {
+        self.lookups.add(n);
+    }
 }
 
 /// The fine, per-server map: segment → its frames on this server.
@@ -311,6 +316,42 @@ impl TranslationCache {
         }
         *slot_mut(&mut self.slots, seg) = Some(self.entries.len());
         self.entries.push(entry);
+    }
+
+    /// The cached location of `seg`, if present, without counting a
+    /// lookup or touching its LRU stamp.
+    pub fn peek(&self, seg: SegmentId) -> Option<SegmentLoc> {
+        self.position(seg)
+            .and_then(|i| self.entries.get(i))
+            .map(|e| e.loc)
+    }
+
+    /// Repeat the lookups `segs`, in order, `rounds` times, each one a
+    /// hit: the clock, stamps and hit count `rounds × segs.len()` calls
+    /// to [`TranslationCache::lookup`] leave. Returns `false`, changing
+    /// nothing, when some segment is not cached (its lookup would miss).
+    pub fn repeat_hits(&mut self, segs: &[SegmentId], rounds: u64) -> bool {
+        if segs.iter().any(|&s| self.position(s).is_none()) {
+            return false;
+        }
+        let n = segs.len() as u64;
+        if rounds == 0 || n == 0 {
+            return true;
+        }
+        // The last round's lookups stamp last; a later lookup of the same
+        // segment overwrites an earlier one's stamp.
+        let mut stamp = self
+            .clock
+            .saturating_add(rounds.saturating_sub(1).saturating_mul(n));
+        for &seg in segs {
+            stamp = stamp.saturating_add(1);
+            if let Some(e) = self.position(seg).and_then(|i| self.entries.get_mut(i)) {
+                e.stamp = stamp;
+            }
+        }
+        self.clock = self.clock.saturating_add(rounds.saturating_mul(n));
+        self.hits.add(rounds.saturating_mul(n));
+        true
     }
 
     /// Record that a cached translation turned out stale (migration raced).

@@ -64,6 +64,7 @@ fn setup() -> (LogicalPool, Fabric, Vec<SegmentId>) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
     fn batch_is_equivalent_to_one_by_one_issue(
         spec in proptest::collection::vec(
             (0..SEGS, 0..SEG_BYTES, 1..=SEG_BYTES, any::<bool>()),

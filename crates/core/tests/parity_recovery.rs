@@ -31,6 +31,7 @@ fn setup(servers: u32) -> (LogicalPool, Fabric, ProtectionManager) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
     fn parity_recovery_is_byte_identical(
         k in 2u32..5,
         victim_sel in any::<u64>(),

@@ -62,6 +62,7 @@ fn independence_lost_rack(pool: &LogicalPool) -> u64 {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
     fn mirror_twins_never_silently_share_a_rack(
         racks in 2u32..5,
         hosts_per_rack in 1u32..4,
@@ -125,6 +126,7 @@ proptest! {
         }
     }
 
+    #[test]
     #[allow(clippy::needless_range_loop)]
     fn parity_blocks_never_silently_share_a_member_rack(
         racks in 2u32..5,

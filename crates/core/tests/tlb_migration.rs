@@ -35,6 +35,7 @@ fn setup() -> (LogicalPool, Fabric) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
     fn tlb_never_serves_a_stale_frame_across_migrations(seed in any::<u64>()) {
         let (mut pool, mut fabric) = setup();
         let mut rng = DetRng::new(seed).fork("tlb-churn");

@@ -124,6 +124,9 @@ pub struct Fabric {
     writes: Counter,
     probes: Counter,
     read_latency: Histogram,
+    /// Read-latency samples since the last [`Fabric::take_tape`], while
+    /// taping is on.
+    tape: Option<Vec<u64>>,
 }
 
 impl Fabric {
@@ -149,6 +152,7 @@ impl Fabric {
             writes: Counter::new(),
             probes: Counter::new(),
             read_latency: Histogram::new(),
+            tape: None,
         }
     }
 
@@ -358,7 +362,7 @@ impl Fabric {
             + wire_time * 2;
         let complete = d2.1 + latency;
         let queued = d2.1.saturating_duration_since(unqueued);
-        self.read_latency.record_duration(complete.duration_since(now));
+        self.record_read(complete.duration_since(now));
         Ok(FabricCompletion {
             complete,
             latency,
@@ -458,7 +462,7 @@ impl Fabric {
         let r_down = self.down_index(requester);
         let d2 = self.links[r_down].transfer_wire_banded(win_at_switch, bytes, band);
         let complete = d2.1 + latency;
-        self.read_latency.record_duration(complete.duration_since(now));
+        self.record_read(complete.duration_since(now));
         Ok(HedgedCompletion {
             primary_won,
             complete,
@@ -622,7 +626,7 @@ impl Fabric {
                 // `chunks` was checked non-empty above, so the loop pushed
                 // at least one completion.
                 let complete = chunk_done.last().copied().unwrap_or(now);
-                self.read_latency.record_duration(complete.duration_since(now));
+                self.record_read(complete.duration_since(now));
                 complete
             }
             MemOp::Write => {
@@ -695,6 +699,65 @@ impl Fabric {
             latency,
             queued,
         })
+    }
+
+    fn record_read(&mut self, latency: SimDuration) {
+        self.read_latency.record_duration(latency);
+        if let Some(tape) = &mut self.tape {
+            tape.push(latency.as_nanos());
+        }
+    }
+
+    /// Start (`true`) or stop recording every read-latency sample for
+    /// [`Fabric::take_tape`]. Stopping drops what was not taken.
+    pub fn set_taping(&mut self, on: bool) {
+        self.tape = on.then(Vec::new);
+    }
+
+    /// Move the samples recorded since the last call to the end of `out`.
+    pub fn take_tape(&mut self, out: &mut Vec<u64>) {
+        if let Some(tape) = &mut self.tape {
+            out.append(tape);
+        }
+    }
+
+    /// Append the additive counters a repeated access pattern advances:
+    /// reads, writes, then each link's bytes and transfers, by link id.
+    pub fn ledger(&self, out: &mut Vec<u64>) {
+        out.push(self.reads.get());
+        out.push(self.writes.get());
+        for link in &self.links {
+            out.push(link.bytes_sent());
+            out.push(link.transfer_count());
+        }
+    }
+
+    /// Append every link's schedule relative to `now`, by link id (see
+    /// [`Link::layout`]).
+    pub fn layout(&self, now: SimTime, out: &mut Vec<u64>) {
+        for link in &self.links {
+            link.layout(now, out);
+        }
+    }
+
+    /// Repeat an already-timed access pattern `rounds` more times, the
+    /// whole repetition taking `by`: `delta` is one round's
+    /// [`Fabric::ledger`] difference and `samples` its read-latency
+    /// samples. Links the round did not touch keep their schedule.
+    pub fn fast_forward(&mut self, delta: &[u64], samples: &[u64], rounds: u64, by: SimDuration) {
+        let times = |v: u64| v.saturating_mul(rounds);
+        if let [reads, writes, links @ ..] = delta {
+            self.reads.add(times(*reads));
+            self.writes.add(times(*writes));
+            for (link, d) in self.links.iter_mut().zip(links.chunks_exact(2)) {
+                if d[1] > 0 {
+                    link.fast_forward(times(d[0]), times(d[1]), by);
+                }
+            }
+        }
+        for &s in samples {
+            self.read_latency.record_n(s, rounds);
+        }
     }
 
     fn path_utilization(&mut self, now: SimTime, a: NodeId, b: NodeId) -> f64 {

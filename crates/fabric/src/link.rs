@@ -152,6 +152,26 @@ impl Link {
         (start, wire_done)
     }
 
+    /// Append the wire's schedule relative to `now` (see
+    /// [`BusyTracker::layout`]), band queues included.
+    pub fn layout(&self, now: SimTime, out: &mut Vec<u64>) {
+        self.busy.layout(now, out);
+        if let Some(q) = &self.bands {
+            q.layout(now, out);
+        }
+    }
+
+    /// Repeat `transfers` already-timed transfers of `bytes` in total:
+    /// count them and move the wire schedule `by` later.
+    pub fn fast_forward(&mut self, bytes: u64, transfers: u64, by: SimDuration) {
+        self.bytes.add(bytes);
+        self.transfers.add(transfers);
+        self.busy.shift(by);
+        if let Some(q) = &mut self.bands {
+            q.shift(by);
+        }
+    }
+
     /// Current (windowed) utilization in `[0, 1]`.
     pub fn utilization(&mut self, now: SimTime) -> f64 {
         self.busy.utilization(now)

@@ -54,6 +54,20 @@ pub struct DramCompletion {
     pub queued: SimDuration,
 }
 
+/// One timed access as a channel's tape records it: what a repetition of
+/// the access needs to be checked and counted without the model.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DramCall {
+    /// Windowed utilization the access observed.
+    pub inst: f64,
+    /// Loaded latency the access paid.
+    pub latency: SimDuration,
+    /// Bytes accessed.
+    pub bytes: u64,
+    /// Its latency-histogram sample (ns).
+    pub sample: u64,
+}
+
 /// A node's local memory system as a shared serial resource.
 #[derive(Debug)]
 pub struct DramChannel {
@@ -63,6 +77,9 @@ pub struct DramChannel {
     bytes: Counter,
     accesses: Counter,
     latency_hist: Histogram,
+    /// Accesses since the last [`DramChannel::take_tape`], while taping
+    /// is on.
+    tape: Option<Vec<DramCall>>,
 }
 
 /// Utilization window; matches the fabric link window so local and remote
@@ -79,6 +96,7 @@ impl DramChannel {
             bytes: Counter::new(),
             accesses: Counter::new(),
             latency_hist: Histogram::new(),
+            tape: None,
         }
     }
 
@@ -99,13 +117,68 @@ impl DramChannel {
         self.bytes.add(bytes);
         self.accesses.inc();
         let complete = done + latency;
-        self.latency_hist
-            .record_duration(complete.duration_since(now));
+        let sample = complete.duration_since(now).as_nanos();
+        self.latency_hist.record(sample);
+        if let Some(tape) = &mut self.tape {
+            tape.push(DramCall {
+                inst,
+                latency,
+                bytes,
+                sample,
+            });
+        }
         DramCompletion {
             complete,
             latency,
             queued: start.duration_since(now),
         }
+    }
+
+    /// Start (`true`) or stop recording every access for
+    /// [`DramChannel::take_tape`]. Stopping drops what was not taken.
+    pub fn set_taping(&mut self, on: bool) {
+        self.tape = on.then(Vec::new);
+    }
+
+    /// Move the accesses recorded since the last call to the end of `out`.
+    pub fn take_tape(&mut self, out: &mut Vec<DramCall>) {
+        if let Some(tape) = &mut self.tape {
+            out.append(tape);
+        }
+    }
+
+    /// The smoothed utilization estimate feeding the latency curve.
+    pub fn estimate(&self) -> Ewma {
+        self.util
+    }
+
+    /// Step `estimate` through a repetition of `call` and report whether
+    /// the repetition pays the recorded latency. Its utilization input is
+    /// the recorded one: the caller has checked the busy schedule repeats.
+    pub fn repeats(&self, estimate: &mut Ewma, call: &DramCall) -> bool {
+        estimate.observe(call.inst);
+        self.profile.curve.at(estimate.get_or(call.inst)) == call.latency
+    }
+
+    /// Append the busy schedule relative to `now` (see
+    /// [`BusyTracker::layout`]).
+    pub fn layout(&self, now: SimTime, out: &mut Vec<u64>) {
+        self.busy.layout(now, out);
+    }
+
+    /// Repeat the recorded accesses `calls` `rounds` more times, the whole
+    /// repetition taking `by`: count their bytes and samples, take the
+    /// `estimate` stepping them left, and move the busy schedule `by`
+    /// later.
+    pub fn fast_forward(&mut self, calls: &[DramCall], rounds: u64, estimate: Ewma, by: SimDuration) {
+        for c in calls {
+            self.bytes.add(c.bytes.saturating_mul(rounds));
+            self.latency_hist.record_n(c.sample, rounds);
+        }
+        self.accesses
+            .add((calls.len() as u64).saturating_mul(rounds));
+        self.util = estimate;
+        self.busy.shift(by);
     }
 
     /// Windowed utilization in `[0, 1]`.

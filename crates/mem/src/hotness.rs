@@ -16,10 +16,78 @@ pub type AccessorId = u32;
 #[derive(Debug, Clone, Default)]
 pub struct HotnessMap {
     /// Indexed by frame id: (accessor, decayed access count) pairs sorted
-    /// by accessor. An empty list means the frame has no entry. The table
-    /// grows on demand to the highest frame recorded.
-    frames: Vec<Vec<(AccessorId, u64)>>,
+    /// by accessor. No pairs means the frame has no entry. The table grows
+    /// on demand to the highest frame recorded.
+    frames: Vec<Pairs>,
     epoch: u64,
+}
+
+/// One frame's (accessor, count) pairs, sorted by accessor. Most frames
+/// only ever see one accessor, so a single pair is kept inline and only a
+/// second accessor moves the pairs to the heap.
+#[derive(Debug, Clone, Default)]
+enum Pairs {
+    #[default]
+    Empty,
+    One([(AccessorId, u64); 1]),
+    Many(Vec<(AccessorId, u64)>),
+}
+
+impl Pairs {
+    fn as_slice(&self) -> &[(AccessorId, u64)] {
+        match self {
+            Pairs::Empty => &[],
+            Pairs::One(p) => p,
+            Pairs::Many(v) => v,
+        }
+    }
+
+    fn record(&mut self, accessor: AccessorId, n: u64) {
+        match self {
+            Pairs::Empty => *self = Pairs::One([(accessor, n)]),
+            Pairs::One([p]) if p.0 == accessor => p.1 += n,
+            Pairs::One([p]) => {
+                let mut v = vec![*p];
+                v.insert(usize::from(p.0 < accessor), (accessor, n));
+                *self = Pairs::Many(v);
+            }
+            Pairs::Many(v) => match v.binary_search_by_key(&accessor, |(a, _)| *a) {
+                Ok(k) => v[k].1 += n,
+                Err(k) => v.insert(k, (accessor, n)),
+            },
+        }
+    }
+
+    /// Halve every count, dropping pairs that reach zero; returns how
+    /// many remain.
+    fn halve(&mut self) -> usize {
+        match self {
+            Pairs::Empty => 0,
+            Pairs::One([p]) => {
+                p.1 /= 2;
+                if p.1 == 0 {
+                    *self = Pairs::Empty;
+                }
+                self.as_slice().len()
+            }
+            Pairs::Many(v) => {
+                v.retain_mut(|(_, c)| {
+                    *c /= 2;
+                    *c > 0
+                });
+                v.len()
+            }
+        }
+    }
+
+    /// Drop every pair. A heap list keeps its allocation for the frame's
+    /// next owner.
+    fn clear(&mut self) {
+        match self {
+            Pairs::Many(v) => v.clear(),
+            _ => *self = Pairs::Empty,
+        }
+    }
 }
 
 /// A frame ranked hot for some accessor.
@@ -44,25 +112,14 @@ impl HotnessMap {
     pub fn record(&mut self, frame: FrameId, accessor: AccessorId, n: u64) {
         let i = frame.0 as usize;
         if i >= self.frames.len() {
-            self.frames.resize_with(i + 1, Vec::new);
+            self.frames.resize_with(i + 1, Pairs::default);
         }
-        let pairs = &mut self.frames[i];
-        match pairs.binary_search_by_key(&accessor, |(a, _)| *a) {
-            Ok(k) => pairs[k].1 += n,
-            Err(k) => {
-                // Most frames only ever see one accessor, and a slot keeps
-                // its allocation across `forget`: size the first one exactly.
-                if pairs.capacity() == 0 {
-                    pairs.reserve_exact(1);
-                }
-                pairs.insert(k, (accessor, n));
-            }
-        }
+        self.frames[i].record(accessor, n);
     }
 
     /// The (accessor, count) pairs of `frame`, sorted by accessor.
     fn pairs(&self, frame: FrameId) -> &[(AccessorId, u64)] {
-        self.frames.get(frame.0 as usize).map_or(&[], Vec::as_slice)
+        self.frames.get(frame.0 as usize).map_or(&[], Pairs::as_slice)
     }
 
     /// Decayed access count for a (frame, accessor) pair.
@@ -93,11 +150,7 @@ impl HotnessMap {
         self.epoch += 1;
         let mut live = 0;
         for pairs in &mut self.frames {
-            pairs.retain_mut(|(_, c)| {
-                *c /= 2;
-                *c > 0
-            });
-            live += pairs.len();
+            live += pairs.halve();
         }
         live
     }
@@ -115,7 +168,7 @@ impl HotnessMap {
             .iter()
             .enumerate()
             .flat_map(|(i, pairs)| {
-                pairs.iter().map(move |&(accessor, count)| HotFrame {
+                pairs.as_slice().iter().map(move |&(accessor, count)| HotFrame {
                     frame: FrameId(i as u64),
                     accessor,
                     count,
@@ -147,6 +200,7 @@ impl HotnessMap {
         let mut frames = 0;
         let mut accesses = 0;
         for pairs in &self.frames {
+            let pairs = pairs.as_slice();
             if let Ok(k) = pairs.binary_search_by_key(&accessor, |(a, _)| *a) {
                 frames += 1;
                 accesses += pairs[k].1;
@@ -157,7 +211,7 @@ impl HotnessMap {
 
     /// Number of live (frame, accessor) pairs currently tracked.
     pub fn live_pairs(&self) -> usize {
-        self.frames.iter().map(Vec::len).sum()
+        self.frames.iter().map(|p| p.as_slice().len()).sum()
     }
 }
 

@@ -24,7 +24,7 @@ pub mod node;
 pub mod region;
 pub mod store;
 
-pub use dram::{DramChannel, DramCompletion, DramProfile};
+pub use dram::{DramCall, DramChannel, DramCompletion, DramProfile};
 pub use frame::{FrameAllocator, FrameError, FrameId, FRAME_BYTES};
 pub use hotness::{AccessorId, HotFrame, HotnessMap};
 pub use node::MemoryNode;

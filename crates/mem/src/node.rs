@@ -105,6 +105,16 @@ impl MemoryNode {
         Ok(())
     }
 
+    /// Free `frame` if it is allocated, discarding its contents; a free
+    /// frame stays free. Failure handling returns the frames of a segment
+    /// whose bookkeeping it drops this way.
+    pub fn release(&mut self, frame: FrameId) {
+        if self.split.free(frame).is_ok() {
+            self.store.discard(frame);
+            self.hotness.forget(frame);
+        }
+    }
+
     /// Time an access of `bytes` against this node's DRAM, attributing it to
     /// `accessor` (equal to this node's id for local accesses). `frame`
     /// feeds hotness tracking when known.
@@ -146,6 +156,13 @@ impl MemoryNode {
             self.hotness.record(*f, accessor, 1);
         }
         self.dram.access(now, bytes)
+    }
+
+    /// Count `local` and `remote` more DRAM runs whose timing and hotness
+    /// were charged elsewhere (a repeated access pattern).
+    pub fn add_runs(&mut self, local: u64, remote: u64) {
+        self.local_accesses.add(local);
+        self.remote_accesses.add(remote);
     }
 
     /// Materialized-byte write into an allocated frame.

@@ -39,6 +39,21 @@ pub enum AdmissionPolicy {
     Lru,
 }
 
+/// How the cache serves an access to one frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CachePath {
+    /// Resident: served from local DRAM.
+    Hit,
+    /// A miss with room to spare: the frame is copied in, then served.
+    Admit,
+    /// A miss on a full [`AdmissionPolicy::PinUntilFull`] cache: only
+    /// the requested bytes are read from the pool.
+    Bypass,
+    /// A miss on a full [`AdmissionPolicy::Lru`] cache: the least
+    /// recently used frame makes room, then the frame is admitted.
+    Evict,
+}
+
 /// A server's local-memory cache of pooled frames (frame granularity).
 #[derive(Debug)]
 pub struct PoolCache {
@@ -108,46 +123,46 @@ impl PoolCache {
         self.resident
     }
 
-    /// Access `bytes` within pooled `frame`. On a miss the whole frame is
-    /// copied from the pool first (the upfront memcpy), then the access is
-    /// served from local memory.
+    /// Admission policy.
+    pub fn policy(&self) -> AdmissionPolicy {
+        self.policy
+    }
+
+    /// Whether `frame` is resident.
+    pub fn is_resident(&self, frame: FrameId) -> bool {
+        self.stamps.get(frame.0 as usize).is_some_and(|s| *s != 0)
+    }
+
+    /// How an access to `frame` would be served now.
+    pub fn path(&self, frame: FrameId) -> CachePath {
+        if self.is_resident(frame) {
+            CachePath::Hit
+        } else if self.resident < self.capacity_frames {
+            CachePath::Admit
+        } else {
+            match self.policy {
+                AdmissionPolicy::PinUntilFull => CachePath::Bypass,
+                AdmissionPolicy::Lru => CachePath::Evict,
+            }
+        }
+    }
+
+    /// Account an access to `frame` served by `path` (from
+    /// [`PoolCache::path`]), without timing it: the LRU clock, the
+    /// frame's stamp and residency, and the counters. Returns the frame
+    /// evicted to make room, if any.
     // Eviction only runs when the cache is full, so some stamp is nonzero
     // and min_by_key always yields a victim.
     #[allow(clippy::expect_used)]
-    pub fn access(
-        &mut self,
-        fabric: &mut Fabric,
-        pool: &mut PhysicalPool,
-        now: SimTime,
-        frame: FrameId,
-        bytes: u64,
-    ) -> CachedAccess {
+    pub fn note(&mut self, frame: FrameId, path: CachePath) -> Option<FrameId> {
         self.clock += 1;
-        let slot = frame.0 as usize;
-        if let Some(stamp) = self.stamps.get_mut(slot).filter(|s| **s != 0) {
-            *stamp = self.clock;
-            self.hits.inc();
-            let d = self.local_dram.access(now, bytes);
-            return CachedAccess {
-                complete: d.complete,
-                hit: true,
-                evicted: None,
-            };
-        }
-        self.misses.inc();
-        let evicted = if self.resident >= self.capacity_frames {
-            match self.policy {
-                AdmissionPolicy::PinUntilFull => {
-                    // Bypass: serve only the requested bytes remotely and
-                    // leave the cache contents intact.
-                    let fetch = pool.read(fabric, now, self.server, bytes, Some(frame));
-                    return CachedAccess {
-                        complete: fetch.complete,
-                        hit: false,
-                        evicted: None,
-                    };
-                }
-                AdmissionPolicy::Lru => {
+        let mut evicted = None;
+        match path {
+            CachePath::Hit => self.hits.inc(),
+            CachePath::Bypass => self.misses.inc(),
+            CachePath::Admit | CachePath::Evict => {
+                self.misses.inc();
+                if path == CachePath::Evict {
                     // Evict the least-recently-used frame (deterministic
                     // tie-break by frame id).
                     let victim = self
@@ -163,29 +178,66 @@ impl PoolCache {
                         .expect("cache full implies non-empty");
                     self.evict(victim);
                     self.evictions.inc();
-                    Some(victim)
+                    evicted = Some(victim);
                 }
+                self.upfront_bytes.add(FRAME_BYTES);
+                let slot = frame.0 as usize;
+                if slot >= self.stamps.len() {
+                    self.stamps.resize(slot + 1, 0);
+                }
+                self.resident += 1;
             }
-        } else {
-            None
-        };
-        // Upfront memcpy of the whole frame from the pool.
-        self.upfront_bytes.add(FRAME_BYTES);
-        let fetch = pool.read(fabric, now, self.server, FRAME_BYTES, Some(frame));
-        // Writing the fetched frame into local memory, then serving the
-        // requested bytes from it.
-        let fill = self.local_dram.access(fetch.complete, FRAME_BYTES);
-        let serve = self.local_dram.access(fill.complete, bytes);
-        if slot >= self.stamps.len() {
-            self.stamps.resize(slot + 1, 0);
         }
-        self.stamps[slot] = self.clock;
-        self.resident += 1;
+        if path != CachePath::Bypass {
+            if let Some(stamp) = self.stamps.get_mut(frame.0 as usize) {
+                *stamp = self.clock;
+            }
+        }
+        evicted
+    }
+
+    /// Access `bytes` within pooled `frame`. On a miss the whole frame is
+    /// copied from the pool first (the upfront memcpy), then the access is
+    /// served from local memory.
+    pub fn access(
+        &mut self,
+        fabric: &mut Fabric,
+        pool: &mut PhysicalPool,
+        now: SimTime,
+        frame: FrameId,
+        bytes: u64,
+    ) -> CachedAccess {
+        let path = self.path(frame);
+        let evicted = self.note(frame, path);
+        let complete = match path {
+            CachePath::Hit => self.local_dram.access(now, bytes).complete,
+            // Bypass: serve only the requested bytes remotely and leave
+            // the cache contents intact.
+            CachePath::Bypass => pool.read(fabric, now, self.server, bytes, Some(frame)).complete,
+            CachePath::Admit | CachePath::Evict => {
+                // Upfront memcpy of the whole frame from the pool, then
+                // writing it into local memory and serving the requested
+                // bytes from it.
+                let fetch = pool.read(fabric, now, self.server, FRAME_BYTES, Some(frame));
+                let fill = self.local_dram.access(fetch.complete, FRAME_BYTES);
+                self.local_dram.access(fill.complete, bytes).complete
+            }
+        };
         CachedAccess {
-            complete: serve.complete,
-            hit: false,
+            complete,
+            hit: path == CachePath::Hit,
             evicted,
         }
+    }
+
+    /// The local DRAM the cache serves from.
+    pub fn local_dram(&self) -> &DramChannel {
+        &self.local_dram
+    }
+
+    /// Mutable local DRAM (repeated access patterns are charged in bulk).
+    pub fn local_dram_mut(&mut self) -> &mut DramChannel {
+        &mut self.local_dram
     }
 
     /// Cache hits so far.

@@ -19,6 +19,6 @@ pub mod cache;
 pub mod cost;
 pub mod pool;
 
-pub use cache::{AdmissionPolicy, CachedAccess, PoolCache};
+pub use cache::{AdmissionPolicy, CachePath, CachedAccess, PoolCache};
 pub use cost::{compare, lmp_bill, physical_bill, Bill, Comparison, ComponentPrices, CostItem, Scenario};
 pub use pool::{PhysicalPool, PoolCompletion};

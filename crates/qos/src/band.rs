@@ -238,6 +238,24 @@ impl BandedQueue {
         (start, done)
     }
 
+    /// Append the queue's state relative to `now`, without draining: the
+    /// backlogs and, while any is nonzero, how long ago they were last
+    /// drained. Equal layouts at two instants schedule equal work alike.
+    pub fn layout(&self, now: SimTime, out: &mut Vec<u64>) {
+        out.extend(self.q);
+        if self.q.iter().any(|&b| b > 0) {
+            out.push(now.saturating_duration_since(self.last).as_nanos());
+        }
+    }
+
+    /// Move the queue `by` later, as [`BusyTracker::shift`] does a FIFO
+    /// wire.
+    ///
+    /// [`BusyTracker::shift`]: lmp_sim::rate::BusyTracker::shift
+    pub fn shift(&mut self, by: SimDuration) {
+        self.last += by;
+    }
+
     /// Per-band backlog at `now` (drains first), highest priority first.
     pub fn backlogs(&mut self, now: SimTime) -> [SimDuration; BAND_COUNT] {
         self.drain_to(now);

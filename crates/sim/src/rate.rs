@@ -88,6 +88,48 @@ impl BusyTracker {
         (start, end)
     }
 
+    /// Append the part of the busy schedule that utilization queries and
+    /// admissions at or after `now` can see, relative to `now`: the window
+    /// span, then each busy interval ending after `now - window` (closed
+    /// ones first, clipped to the window start) as `(start, end)` offsets
+    /// from the window start. Two trackers whose layouts at `a` and `b`
+    /// are equal answer every query at `a + d` and `b + d` alike.
+    pub fn layout(&self, now: SimTime, out: &mut Vec<u64>) {
+        let from = now.as_nanos().saturating_sub(self.window.as_nanos());
+        out.push(now.as_nanos() - from);
+        let count = out.len();
+        out.push(0);
+        let mut push = |start: SimTime, end: SimTime| {
+            if end.as_nanos() > from {
+                out.push(start.as_nanos().max(from) - from);
+                out.push(end.as_nanos() - from);
+                out[count] += 1;
+            }
+        };
+        let live = self
+            .intervals
+            .partition_point(|c| c.end.as_nanos() <= from);
+        for c in self.intervals.range(live..) {
+            push(c.start, c.end);
+        }
+        if self.has_open {
+            push(self.busy_from, self.busy_until);
+        }
+    }
+
+    /// Move the whole busy schedule `by` later: the state a resource
+    /// reaches when the same occupancy pattern repeats `by` later. Busy
+    /// totals keep their differences, so utilization is unchanged
+    /// relative to the shifted schedule.
+    pub fn shift(&mut self, by: SimDuration) {
+        for c in &mut self.intervals {
+            c.start += by;
+            c.end += by;
+        }
+        self.busy_from += by;
+        self.busy_until += by;
+    }
+
     /// Closed busy time before instant `t`: the running total up to the
     /// first interval not yet over at `t`, plus that interval's part before
     /// `t`. Later intervals start at or after its end, so they add nothing.
@@ -301,6 +343,44 @@ mod tests {
         let u = b.utilization(t(150));
         // Busy inside [50,150]: 30 ns of [120,180) only.
         assert!((u - 0.3).abs() < 1e-9, "u={u}");
+    }
+
+    #[test]
+    fn shifted_tracker_answers_like_a_repeated_one() {
+        // One tracker runs the same pattern twice, 1 µs apart; the other
+        // runs it once and is shifted. Their answers match from then on.
+        let pattern = |b: &mut BusyTracker, base: u64| {
+            for (at, work) in [(0, 30), (10, 20), (80, 15), (200, 40)] {
+                b.utilization(t(base + at));
+                b.occupy(t(base + at), d(work));
+            }
+        };
+        let mut stepped = BusyTracker::new(d(100));
+        pattern(&mut stepped, 0);
+        pattern(&mut stepped, 1_000);
+        let mut shifted = BusyTracker::new(d(100));
+        pattern(&mut shifted, 0);
+        shifted.shift(d(1_000));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        stepped.layout(t(1_240), &mut a);
+        shifted.layout(t(1_240), &mut b);
+        assert_eq!(a, b);
+        for at in [1_200, 1_230, 1_250, 1_300, 1_400] {
+            assert_eq!(stepped.utilization(t(at)), shifted.utilization(t(at)), "{at}");
+            assert_eq!(stepped.free_at(t(at)), shifted.free_at(t(at)));
+        }
+        assert_eq!(stepped.occupy(t(1_245), d(5)), shifted.occupy(t(1_245), d(5)));
+    }
+
+    #[test]
+    fn layout_sees_only_the_window_and_the_future() {
+        let mut b = BusyTracker::new(d(100));
+        b.occupy(t(0), d(10)); // out of the window at 500
+        b.occupy(t(420), d(30)); // clipped: [420, 450) seen from 400
+        b.occupy(t(480), d(100)); // open, ends in the future
+        let mut out = Vec::new();
+        b.layout(t(500), &mut out);
+        assert_eq!(out, vec![100, 2, 20, 50, 80, 180]);
     }
 
     #[test]

@@ -140,6 +140,24 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Record `n` samples of `value` at once: the same histogram as `n`
+    /// calls to [`Histogram::record`]. Recording zero samples changes
+    /// nothing.
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let idx = bucket_index(value);
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, 0);
+        }
+        self.buckets[idx] += n;
+        self.count += n;
+        self.sum += value as u128 * n as u128;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
     /// Record a duration in nanoseconds.
     pub fn record_duration(&mut self, d: SimDuration) {
         self.record(d.as_nanos());
@@ -277,6 +295,11 @@ impl Ewma {
     pub fn get_or(&self, default: f64) -> f64 {
         self.value.unwrap_or(default)
     }
+
+    /// Current estimate, `None` before any observation.
+    pub fn value(&self) -> Option<f64> {
+        self.value
+    }
 }
 
 #[cfg(test)]
@@ -375,6 +398,21 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), 10);
         assert_eq!(a.max(), 1_000_000);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let mut one = Histogram::new();
+        let mut bulk = Histogram::new();
+        for (v, n) in [(82u64, 3u64), (1_000_000, 1), (7, 0), (148, 5)] {
+            for _ in 0..n {
+                one.record(v);
+            }
+            bulk.record_n(v, n);
+        }
+        assert_eq!(format!("{one:?}"), format!("{bulk:?}"));
+        assert_eq!(bulk.count(), 9);
+        assert_eq!(bulk.min(), 82);
     }
 
     #[test]

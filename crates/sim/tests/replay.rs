@@ -52,6 +52,7 @@ fn run_workload(seed: u64) -> Vec<(u64, u32)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
     fn same_seed_same_trace(seed in any::<u64>()) {
         let a = run_workload(seed);
         let b = run_workload(seed);

@@ -543,7 +543,6 @@ macro_rules! __proptest_impl {
      $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __cfg: $crate::test_runner::ProptestConfig = $cfg;
             let mut __rng = $crate::test_runner::TestRng::from_name(stringify!($name));
@@ -672,6 +671,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
         #[allow(clippy::len_zero)]
         fn macro_generates_cases(
             n in 1u64..100,
