@@ -8,7 +8,7 @@
 //! `racks × 3` hosts, homes four protected application segments in rack 0
 //! (two mirrored, a parity pair whose second member lives in rack 1),
 //! biases host-only placement into rack 0 with filler allocations, runs a
-//! seeded 200-read workload over the [`DatacenterFabric`] (local-access
+//! seeded 200-read workload over a datacenter-shaped [`Fabric`] (local-access
 //! ratio, spine traffic), then blacks out rack 0 and recovers. Everything
 //! is simulated time — no wall clock — so every number and the per-config
 //! FNV digest are bit-stable across machines. Verified here, exit
@@ -31,9 +31,10 @@
 //! cargo run --release -p lmp-bench --bin multirack -- --smoke # CI gate vs committed baseline
 //! ```
 
+use lmp_bench::gate::{fnv_fold, Smoke, FNV_OFFSET};
 use lmp_bench::{emit_header, emit_row};
 use lmp_core::prelude::*;
-use lmp_fabric::{DatacenterFabric, Fabric, LinkProfile, NodeId};
+use lmp_fabric::{Fabric, LinkProfile, NodeId};
 use lmp_mem::{DramProfile, FRAME_BYTES};
 use lmp_sim::prelude::*;
 use serde::Serialize;
@@ -43,15 +44,6 @@ const RACK_COUNTS: [u32; 3] = [2, 3, 4];
 const SEG_BYTES: u64 = 2 * FRAME_BYTES;
 const READS: u64 = 200;
 const SEED: u64 = 42;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-}
 
 #[derive(Serialize)]
 struct ConfigRow {
@@ -70,6 +62,40 @@ struct ConfigRow {
     digest: String,
 }
 
+/// The datacenter fabric the workload and the recovery replay read over,
+/// with the spine tallies the rows report.
+struct Datacenter<'a> {
+    fabric: Fabric,
+    domains: &'a DomainMap,
+    cross_rack_reads: u64,
+    spine_bytes: u64,
+}
+
+impl Datacenter<'_> {
+    /// `requester` reads `bytes` from `holder`: the completion, the latency
+    /// and whether the read crossed the spine. A same-node read is local:
+    /// it charges nothing and completes at `at` with latency 0. A
+    /// cross-rack read's payload counts once toward the spine bytes.
+    fn read(
+        &mut self,
+        at: SimTime,
+        requester: NodeId,
+        holder: NodeId,
+        bytes: u64,
+    ) -> (SimTime, SimDuration, bool) {
+        if requester == holder {
+            return (at, SimDuration::ZERO, false);
+        }
+        let c = self.fabric.read(at, requester, holder, bytes);
+        let cross_rack = !self.domains.same_rack(requester, holder);
+        if cross_rack {
+            self.cross_rack_reads += 1;
+            self.spine_bytes += bytes;
+        }
+        (c.complete, c.latency, cross_rack)
+    }
+}
+
 /// One configuration, end to end: build, workload, blackout, recovery.
 /// Pure simulation — the row is a function of `(policy, racks, SEED)`.
 fn run_config(domain_aware: bool, racks: u32) -> ConfigRow {
@@ -83,16 +109,21 @@ fn run_config(domain_aware: bool, racks: u32) -> ConfigRow {
     };
     let mut pool = LogicalPool::new(config);
     let mut fabric = Fabric::new(LinkProfile::link1(), servers);
-    let mut dc = DatacenterFabric::new(
-        LinkProfile::link1(),
-        racks,
-        1,
-        HOSTS_PER_RACK,
-        4.0,
-        2.0,
-        SimDuration::from_nanos(40),
-    );
     let domains = DomainMap::uniform(racks, HOSTS_PER_RACK);
+    let mut dc = Datacenter {
+        fabric: Fabric::datacenter(
+            LinkProfile::link1(),
+            racks,
+            1,
+            HOSTS_PER_RACK,
+            4.0,
+            2.0,
+            SimDuration::from_nanos(40),
+        ),
+        domains: &domains,
+        cross_rack_reads: 0,
+        spine_bytes: 0,
+    };
     let mut pm = if domain_aware {
         ProtectionManager::with_policy(PlacementPolicy::DomainAware(domains.clone()))
     } else {
@@ -145,17 +176,17 @@ fn run_config(domain_aware: bool, racks: u32) -> ConfigRow {
         let holder = pool
             .holder_of(segments[seg_idx])
             .expect("primary resolvable before the blackout");
-        let c = dc.read(at, requester, holder, len);
-        if !c.cross_rack {
+        let (_, latency, cross_rack) = dc.read(at, requester, holder, len);
+        if !cross_rack {
             local += 1;
         }
-        total_latency += c.latency.as_nanos();
+        total_latency += latency.as_nanos();
         fnv_fold(&mut digest, u64::from(requester.0));
         fnv_fold(&mut digest, u64::from(holder.0));
-        fnv_fold(&mut digest, c.latency.as_nanos());
-        fnv_fold(&mut digest, u64::from(c.cross_rack));
+        fnv_fold(&mut digest, latency.as_nanos());
+        fnv_fold(&mut digest, u64::from(cross_rack));
     }
-    let workload_spine_bytes = dc.spine_payload_bytes();
+    let workload_spine_bytes = dc.spine_bytes;
 
     // Rack-0 blackout, then the same per-node recovery the orchestrator
     // runs, in ascending host order.
@@ -185,7 +216,7 @@ fn run_config(domain_aware: bool, racks: u32) -> ConfigRow {
     // Replay the rebuild traffic on the datacenter fabric: every rebuilt
     // segment pulled its bytes from a surviving holder, so the spine sees
     // the recovery and its completion time is the recovery time.
-    let spine_before = dc.spine_payload_bytes();
+    let spine_before = dc.spine_bytes;
     let mut recovery_done = detect;
     for &seg in &rebuilt {
         let Some(dst) = pool.holder_of(seg) else { continue };
@@ -207,14 +238,14 @@ fn run_config(domain_aware: bool, racks: u32) -> ConfigRow {
             if src == dst {
                 continue;
             }
-            let c = dc.read(detect, dst, src, SEG_BYTES);
-            if c.complete > recovery_done {
-                recovery_done = c.complete;
+            let (complete, _, _) = dc.read(detect, dst, src, SEG_BYTES);
+            if complete > recovery_done {
+                recovery_done = complete;
             }
         }
     }
     let recovery_ns = recovery_done.duration_since(detect).as_nanos();
-    let recovery_spine_bytes = dc.spine_payload_bytes() - spine_before;
+    let recovery_spine_bytes = dc.spine_bytes - spine_before;
 
     // Every surviving segment must read back byte-identical.
     let mut content_mismatches = 0u64;
@@ -246,7 +277,7 @@ fn run_config(domain_aware: bool, racks: u32) -> ConfigRow {
         servers,
         local_ratio: local as f64 / READS as f64,
         avg_read_ns: total_latency / READS,
-        cross_rack_reads: dc.cross_rack_read_count(),
+        cross_rack_reads: dc.cross_rack_reads,
         workload_spine_bytes,
         rebuilt: rebuilt.len() as u64,
         lost_protected,
@@ -275,15 +306,6 @@ struct Baseline {
     domain_local_ratio_4: f64,
     domain_recovery_ns_4: u64,
     domain_recovery_spine_bytes_4: u64,
-}
-
-/// Pull `"key":<value>` out of flat JSON; values may be quoted strings.
-fn json_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
 }
 
 fn run_sweep() -> Vec<ConfigRow> {
@@ -360,35 +382,11 @@ fn main() {
     }
 
     if smoke {
-        let baseline = match std::fs::read_to_string("BENCH_multirack.json") {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("multirack --smoke: no committed BENCH_multirack.json baseline ({e})");
-                std::process::exit(2);
-            }
-        };
-        let mut ok = true;
+        let mut gate = Smoke::read_baseline("multirack", "BENCH_multirack.json");
         for r in &rows {
-            let key = format!("digest_{}_{}", r.policy, r.racks);
-            match json_field(&baseline, &key) {
-                Some(b) if b == r.digest => {}
-                Some(b) => {
-                    eprintln!(
-                        "multirack: digest drift for {} racks={}: baseline {b}, got {}",
-                        r.policy, r.racks, r.digest
-                    );
-                    ok = false;
-                }
-                None => {
-                    eprintln!("multirack: baseline missing {key}");
-                    ok = false;
-                }
-            }
+            gate.pin(&format!("digest_{}_{}", r.policy, r.racks), &r.digest);
         }
-        println!("smoke: {} configurations — {}", rows.len(), if ok { "PASS" } else { "FAIL" });
-        if !ok {
-            std::process::exit(1);
-        }
+        gate.verdict(&format!("smoke: {} configurations", rows.len()));
         return;
     }
 

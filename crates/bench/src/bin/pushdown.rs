@@ -45,6 +45,7 @@
 //! [`scan_ranges`]: lmp_compute::scan_ranges
 //! [`Planner`]: lmp_compute::Planner
 
+use lmp_bench::gate::{fnv_fold, Smoke, FNV_OFFSET};
 use lmp_bench::{emit_header, emit_row};
 use lmp_compute::{Choice, DistVector, OpOutput, Operator, Planner, Predicate, ScanParams};
 use lmp_core::prelude::*;
@@ -66,15 +67,6 @@ const LOAD_MIB: u64 = 256;
 /// other point is decisively on one side under both loads.
 const THRESHOLDS: [u64; 5] = [63, 48, 24, 16, 0];
 const MODES: [&str; 3] = ["ship", "fetch", "planner"];
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-}
 
 #[derive(Serialize)]
 struct ConfigRow {
@@ -202,15 +194,6 @@ fn run_config(loaded: bool, threshold: u64, mode: &'static str) -> (ConfigRow, O
         digest: format!("{digest:#018x}"),
     };
     (row, out, remote_choice)
-}
-
-/// Pull `"key":<value>` out of flat JSON; values may be quoted strings.
-fn json_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
 }
 
 struct Point {
@@ -341,58 +324,24 @@ fn main() {
     }
 
     if smoke {
-        let baseline = match std::fs::read_to_string("BENCH_pushdown.json") {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("pushdown --smoke: no committed BENCH_pushdown.json baseline ({e})");
-                std::process::exit(2);
-            }
-        };
-        let mut ok = true;
+        let mut gate = Smoke::read_baseline("pushdown", "BENCH_pushdown.json");
         for p in &points {
-            let wkey = format!("winner_{}_t{}", p.load, p.threshold);
-            match json_field(&baseline, &wkey) {
-                Some(b) if b == p.winner => {}
-                other => {
-                    eprintln!(
-                        "pushdown: winner drift for {wkey}: baseline {other:?}, got {}",
-                        p.winner
-                    );
-                    ok = false;
-                }
-            }
+            gate.pin(&format!("winner_{}_t{}", p.load, p.threshold), p.winner);
             for r in &p.rows {
                 let key = format!("digest_{}_t{}_{}", p.load, p.threshold, r.mode);
-                match json_field(&baseline, &key) {
-                    Some(b) if b == r.digest => {}
-                    Some(b) => {
-                        eprintln!(
-                            "pushdown: digest drift for {key}: baseline {b}, got {}",
-                            r.digest
-                        );
-                        ok = false;
-                    }
-                    None => {
-                        eprintln!("pushdown: baseline missing {key}");
-                        ok = false;
-                    }
-                }
+                gate.pin(&key, &r.digest);
             }
         }
-        println!(
-            "smoke: {} grid points × {} modes — {}",
+        gate.verdict(&format!(
+            "smoke: {} grid points × {} modes",
             points.len(),
-            MODES.len(),
-            if ok { "PASS" } else { "FAIL" }
-        );
-        if !ok {
-            std::process::exit(1);
-        }
+            MODES.len()
+        ));
         return;
     }
 
     // Flat, string-searchable baseline (the vendored serde_json shim is
-    // write-only, so the smoke gate reads fields back with json_field).
+    // write-only, so the smoke gate reads fields back with `lmp_bench::gate`).
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"stripe_mib\": {},\n", STRIPE_FRAMES * FRAME_BYTES / MIB));
     json.push_str(&format!("  \"load_mib\": {LOAD_MIB},\n"));

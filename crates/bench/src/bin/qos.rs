@@ -37,6 +37,7 @@
 //! cargo run --release -p lmp-bench --bin qos -- --smoke # CI gate vs committed baseline
 //! ```
 
+use lmp_bench::gate::{fnv_fold, Smoke, FNV_OFFSET};
 use lmp_bench::{emit_header, emit_row};
 use lmp_core::prelude::*;
 use lmp_fabric::{Fabric, LinkProfile, NodeId};
@@ -54,15 +55,6 @@ const BATCHES: u32 = 3;
 /// share through the flood, so 6 µs is generous headroom — while the
 /// FIFO backlog pushes the unprotected p99 an order of magnitude past it.
 const VICTIM_P99_BOUND_NS: u64 = 6_000;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-}
 
 #[derive(Serialize)]
 struct ConfigRow {
@@ -218,15 +210,6 @@ struct Baseline {
     aggressor_rejected_qos: u64,
 }
 
-/// Pull `"key":<value>` out of flat JSON; values may be quoted strings.
-fn json_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
 /// The QoS acceptance contrast; `None` means it holds.
 fn contrast_failure(fifo: &ConfigRow, qos: &ConfigRow) -> Option<String> {
     if qos.victim_p99_ns > VICTIM_P99_BOUND_NS {
@@ -294,39 +277,11 @@ fn main() {
     }
 
     if smoke {
-        let baseline = match std::fs::read_to_string("BENCH_qos.json") {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("qos --smoke: no committed BENCH_qos.json baseline ({e})");
-                std::process::exit(2);
-            }
-        };
-        let mut ok = true;
+        let mut gate = Smoke::read_baseline("qos", "BENCH_qos.json");
         for r in &rows {
-            let key = format!("digest_{}", r.mode);
-            match json_field(&baseline, &key) {
-                Some(b) if b == r.digest => {}
-                Some(b) => {
-                    eprintln!(
-                        "qos: digest drift for {}: baseline {b}, got {}",
-                        r.mode, r.digest
-                    );
-                    ok = false;
-                }
-                None => {
-                    eprintln!("qos: baseline missing {key}");
-                    ok = false;
-                }
-            }
+            gate.pin(&format!("digest_{}", r.mode), &r.digest);
         }
-        println!(
-            "smoke: {} configurations — {}",
-            rows.len(),
-            if ok { "PASS" } else { "FAIL" }
-        );
-        if !ok {
-            std::process::exit(1);
-        }
+        gate.verdict(&format!("smoke: {} configurations", rows.len()));
         return;
     }
 

@@ -1,17 +1,32 @@
-//! The rack fabric: a single CXL switch in a star topology.
+//! The rack fabric: nodes on leaf switches, leaves grouped into racks, racks
+//! joined by a datacenter spine. One rack of one leaf is the single-switch
+//! star.
 //!
-//! Every node (server or pool appliance) attaches to the switch with one
+//! Every node (server or pool appliance) attaches to its leaf with one
 //! full-duplex link, modelled as two directed [`Link`]s (`up` toward the
-//! switch, `down` from it). A remote read occupies four wires — request flit
-//! on `up[requester]` and `down[holder]`, data payload on `up[holder]` and
-//! `down[requester]` — and experiences the profile's end-to-end loaded
-//! latency **once**, evaluated at the bottleneck utilization along the path
-//! (the profile's Table 2 endpoints are end-to-end measurements, so applying
-//! the curve per-hop would double count).
+//! switch, `down` from it); leaves and racks attach upward the same way.
+//! Paper §2.2 scales Global FAM past one switch with Port-Based Routing: a
+//! destination id resolves to a port at every hop, so the *route* from one
+//! node to another is a static, ordered list of wires:
+//!
+//! * within a leaf, `[src up, dst down]` — one switch, the star's path;
+//! * to another leaf of the same rack, the two leaf uplinks in between —
+//!   three switches;
+//! * to another rack, also both racks' spine uplinks — five switches.
+//!
+//! Payloads occupy every wire of their route, store-and-forward. Control
+//! flits (requests, write completions, probes) occupy only the route's
+//! first and last wire. An operation experiences the profile's end-to-end
+//! loaded latency **once**, evaluated at the highest utilization over every
+//! wire of the two routes between its endpoints (the profile's Table 2
+//! endpoints are end-to-end measurements, so applying the curve per hop
+//! would double count), stretched by the worse endpoint's degradation, plus
+//! `extra_hop` per switch beyond the first.
 //!
 //! Incast (the paper's §4.2 concern) is emergent: when many servers read
 //! from one holder, the holder's `up` wire serializes all payloads and the
-//! flows share its bandwidth.
+//! flows share its bandwidth. So is oversubscription: every payload that
+//! leaves a leaf or a rack shares that leaf's or rack's uplink.
 
 use crate::link::Link;
 use crate::profile::LinkProfile;
@@ -26,7 +41,9 @@ pub struct FabricCompletion {
     pub complete: SimTime,
     /// Loaded-latency component (end-to-end protocol latency).
     pub latency: SimDuration,
-    /// Time spent queued behind other traffic (serialization backlog).
+    /// Time spent queued behind other traffic: how much later the last
+    /// wire finished than the operation's flits and payload take on idle
+    /// node-class wires.
     pub queued: SimDuration,
 }
 
@@ -46,22 +63,23 @@ pub struct BatchTransfer {
 }
 
 /// Completion report for a hedged read race ([`Fabric::try_read_hedged`]):
-/// two holders transmit the same payload, the switch forwards whichever
-/// arrives first, and the loser is cancelled at the switch — its payload
-/// never occupies the requester's down wire.
+/// two holders transmit the same payload, the switch where their routes
+/// merge forwards whichever arrives first, and the loser is cancelled
+/// there — it never occupies a wire past the merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HedgedCompletion {
-    /// `true` when the primary's payload reached the switch first (ties
+    /// `true` when the primary's payload reached the merge first (ties
     /// go to the primary: the duplicate is then pure waste).
     pub primary_won: bool,
     /// Instant the winning payload is fully delivered at the requester.
     pub complete: SimTime,
-    /// When the primary's payload cleared its holder's up wire — the
-    /// primary's entry in the race.
+    /// When the primary's payload reached the merge — on the star, when it
+    /// cleared its holder's up wire. This is the primary's entry in the
+    /// race.
     pub primary_at_switch: SimTime,
-    /// When the hedge's payload cleared its holder's up wire. For the
-    /// loser this is also the cancellation instant: the event-driven
-    /// caller cancels the loser's completion event here.
+    /// When the hedge's payload reached the merge. For the loser this is
+    /// also the cancellation instant: the event-driven caller cancels the
+    /// loser's completion event here.
     pub hedge_at_switch: SimTime,
     /// Loaded-latency component of the winning path.
     pub latency: SimDuration,
@@ -76,8 +94,9 @@ pub enum FabricError {
     RequesterDown(NodeId),
     /// The holder's fabric port is down.
     HolderDown(NodeId),
-    /// The caller misused the fabric API: a self-transfer, an empty batch
-    /// stream, a zero-op batch. Recoverable — no wire state was touched.
+    /// The caller misused the fabric API: a self-transfer, a node id the
+    /// fabric does not have, an empty batch stream, a zero-op batch.
+    /// Recoverable — no wire state was touched.
     Contract(&'static str),
 }
 
@@ -104,13 +123,44 @@ impl std::fmt::Display for FabricError {
 
 impl std::error::Error for FabricError {}
 
-/// A star-topology fabric connecting `node_count` nodes through one switch.
+/// The wires from one node to another, in the order a payload crosses
+/// them: 2, 4 or 6 of them (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    wires: [usize; 6],
+    len: usize,
+}
+
+impl Route {
+    fn wires(&self) -> &[usize] {
+        &self.wires[..self.len]
+    }
+
+    /// The wires a control flit occupies: the route's first and last.
+    fn ends(&self) -> [usize; 2] {
+        [self.wires[0], self.wires[self.len - 1]]
+    }
+}
+
+/// A fabric of racks of leaf switches, routing between nodes by topology.
 #[derive(Debug)]
 pub struct Fabric {
     profile: LinkProfile,
-    /// Directed links: index `2n` is node n's up wire, `2n+1` its down wire.
+    /// Directed links. Index `2n` is node n's up wire, `2n+1` its down
+    /// wire; then, from `leaf_base`, each leaf's uplink pair (up toward the
+    /// rack's spine at `2l`, down from it at `2l+1`), and from
+    /// `spine_base` each rack's uplink pair to the datacenter spine. Node
+    /// and leaf ids are rack-major.
     links: Vec<Link>,
     node_count: u32,
+    /// Nodes per leaf and leaves per rack.
+    per_leaf: usize,
+    leaves: usize,
+    leaf_base: usize,
+    spine_base: usize,
+    /// Latency added per switch beyond the first (the profile's curve
+    /// covers one-switch paths, as measured in Table 2).
+    extra_hop: SimDuration,
     /// Per-node port state: `true` while the node is off the fabric
     /// (crashed or partitioned). Fault injection toggles this.
     port_down: Vec<bool>,
@@ -129,22 +179,66 @@ pub struct Fabric {
     tape: Option<Vec<u64>>,
 }
 
+/// `profile` with `multiplier`× the bandwidth, named `profile.name-suffix`.
+fn thicker(profile: &LinkProfile, suffix: &str, multiplier: f64) -> LinkProfile {
+    LinkProfile::new(
+        format!("{}-{suffix}", profile.name),
+        profile.curve,
+        profile.bandwidth.scale(multiplier),
+    )
+}
+
 impl Fabric {
-    /// Build a fabric of `node_count` nodes, all using `profile` links.
-    ///
-    /// # Panics
-    /// Panics when `node_count` is zero.
+    /// A star of `node_count` nodes through one switch, all using
+    /// `profile` links. A zero count is clamped to one node.
     pub fn new(profile: LinkProfile, node_count: u32) -> Self {
-        // lmp-lint: allow(no-panic) — constructor precondition on static
-        // config, documented under `# Panics`; no fabric exists yet.
-        assert!(node_count > 0, "fabric needs at least one node");
-        let links = (0..node_count * 2)
+        Self::datacenter(profile, 1, 1, node_count, 1.0, 1.0, SimDuration::ZERO)
+    }
+
+    /// A datacenter of `racks` racks, each `leaves` leaf switches of
+    /// `per_leaf` nodes with `profile`-class links. Leaf uplinks get
+    /// `uplink_multiplier`× a node link's bandwidth (1.0 = fully
+    /// oversubscribed when a leaf is busy, `per_leaf as f64` =
+    /// non-blocking), rack spine uplinks `spine_multiplier`×; `extra_hop` is
+    /// the added latency per switch beyond the first.
+    ///
+    /// Degenerate shapes are clamped to 1 and non-positive multipliers to
+    /// 1.0. One rack of one leaf is the star of [`Fabric::new`], wire for
+    /// wire: uplinks exist only where a route can cross them.
+    pub fn datacenter(
+        profile: LinkProfile,
+        racks: u32,
+        leaves: u32,
+        per_leaf: u32,
+        uplink_multiplier: f64,
+        spine_multiplier: f64,
+        extra_hop: SimDuration,
+    ) -> Self {
+        let (racks, leaves, per_leaf) = (racks.max(1), leaves.max(1), per_leaf.max(1));
+        let positive = |m: f64| if m > 0.0 { m } else { 1.0 };
+        let node_count = racks * leaves * per_leaf;
+        let mut links: Vec<Link> = (0..node_count * 2)
             .map(|_| Link::new(profile.clone()))
             .collect();
+        let leaf_base = links.len();
+        if racks * leaves > 1 {
+            let up = thicker(&profile, "leafup", positive(uplink_multiplier));
+            links.extend((0..racks * leaves * 2).map(|_| Link::new(up.clone())));
+        }
+        let spine_base = links.len();
+        if racks > 1 {
+            let up = thicker(&profile, "spine", positive(spine_multiplier));
+            links.extend((0..racks * 2).map(|_| Link::new(up.clone())));
+        }
         Fabric {
             profile,
             links,
             node_count,
+            per_leaf: per_leaf as usize,
+            leaves: leaves as usize,
+            leaf_base,
+            spine_base,
+            extra_hop,
             port_down: vec![false; node_count as usize],
             latency_factor: vec![1.0; node_count as usize],
             bands: None,
@@ -175,24 +269,25 @@ impl Fabric {
 
     /// Replace `node`'s links with `multiplier`× thicker ones — the paper's
     /// "higher-capacity link or multiple links" provisioning for a physical
-    /// pool's switch↔pool connection.
+    /// pool's switch↔pool connection. Unknown nodes are ignored.
     ///
     /// # Panics
-    /// Panics on an unknown node or non-positive multiplier.
+    /// Panics on a non-positive multiplier.
     pub fn provision_uplink(&mut self, node: NodeId, multiplier: f64) {
         assert!(multiplier > 0.0, "link multiplier must be positive");
+        if node.0 >= self.node_count {
+            return;
+        }
         let p = LinkProfile::new(
             format!("{}@{}x{multiplier:.0}", self.profile.name, node),
             self.profile.curve,
             self.profile.bandwidth.scale(multiplier),
         );
-        let up = self.up_index(node);
-        let down = self.down_index(node);
-        self.links[up] = Link::new(p.clone());
-        self.links[down] = Link::new(p);
-        if let Some(w) = self.bands {
-            self.links[up].enable_bands(w);
-            self.links[down].enable_bands(w);
+        for wire in [self.up(node).0, self.down(node).0] {
+            self.links[wire] = Link::new(p.clone());
+            if let Some(w) = self.bands {
+                self.links[wire].enable_bands(w);
+            }
         }
     }
 
@@ -206,29 +301,15 @@ impl Fabric {
         &self.profile
     }
 
-    fn up_index(&self, node: NodeId) -> usize {
-        // lmp-lint: allow(no-panic) — indexing precondition, same class as
-        // slice indexing: an out-of-range NodeId is a harness bug, and the
-        // explicit message beats the Vec index panic two lines later.
-        assert!(node.0 < self.node_count, "unknown node {node}");
-        node.0 as usize * 2
-    }
-
-    fn down_index(&self, node: NodeId) -> usize {
-        // lmp-lint: allow(no-panic) — indexing precondition, same class as
-        // slice indexing; see `up_index`.
-        assert!(node.0 < self.node_count, "unknown node {node}");
-        node.0 as usize * 2 + 1
-    }
-
-    /// Id of `node`'s up (toward-switch) wire.
+    /// Id of `node`'s up (toward-switch) wire. Only a node this fabric has
+    /// owns one; [`Fabric::link`] panics on an id past the last wire.
     pub fn up(&self, node: NodeId) -> LinkId {
-        LinkId(self.up_index(node))
+        LinkId(node.0 as usize * 2)
     }
 
-    /// Id of `node`'s down (from-switch) wire.
+    /// Id of `node`'s down (from-switch) wire; see [`Fabric::up`].
     pub fn down(&self, node: NodeId) -> LinkId {
-        LinkId(self.down_index(node))
+        LinkId(node.0 as usize * 2 + 1)
     }
 
     /// Direct access to a link's telemetry.
@@ -236,44 +317,93 @@ impl Fabric {
         &self.links[id.0]
     }
 
-    /// Take `node`'s fabric port down (crash or partition). Subsequent
-    /// [`Fabric::try_read`]/[`Fabric::try_write`] through it fail.
-    pub fn set_port_down(&mut self, node: NodeId, down: bool) {
-        let i = node.0 as usize;
-        assert!(node.0 < self.node_count, "unknown node {node}");
-        self.port_down[i] = down;
+    /// The route from `src` to `dst`, both known nodes.
+    fn route_between(&self, src: NodeId, dst: NodeId) -> Route {
+        let (s, d) = (src.0 as usize, dst.0 as usize);
+        let (up, down) = (2 * s, 2 * d + 1);
+        // Without uplinks there is one leaf, and no division to find it.
+        let one_leaf = self.leaf_base == self.links.len();
+        let (src_leaf, dst_leaf) = if one_leaf {
+            (0, 0)
+        } else {
+            (s / self.per_leaf, d / self.per_leaf)
+        };
+        if src_leaf == dst_leaf {
+            return Route {
+                wires: [up, down, 0, 0, 0, 0],
+                len: 2,
+            };
+        }
+        let leaf_up = self.leaf_base + 2 * src_leaf;
+        let leaf_down = self.leaf_base + 2 * dst_leaf + 1;
+        let (src_rack, dst_rack) = (src_leaf / self.leaves, dst_leaf / self.leaves);
+        if src_rack == dst_rack {
+            return Route {
+                wires: [up, leaf_up, leaf_down, down, 0, 0],
+                len: 4,
+            };
+        }
+        let spine_up = self.spine_base + 2 * src_rack;
+        let spine_down = self.spine_base + 2 * dst_rack + 1;
+        Route {
+            wires: [up, leaf_up, spine_up, spine_down, leaf_down, down],
+            len: 6,
+        }
     }
 
-    /// Whether `node`'s fabric port is down.
+    /// Take `node`'s fabric port down (crash or partition). Subsequent
+    /// [`Fabric::try_read`]/[`Fabric::try_write`] through it fail. Unknown
+    /// nodes are ignored.
+    pub fn set_port_down(&mut self, node: NodeId, down: bool) {
+        if let Some(port) = self.port_down.get_mut(node.0 as usize) {
+            *port = down;
+        }
+    }
+
+    /// Whether `node`'s fabric port is down. A node the fabric does not
+    /// have has no port, so it reads as down.
     pub fn is_port_down(&self, node: NodeId) -> bool {
-        self.port_down[node.0 as usize]
+        self.port_down.get(node.0 as usize).copied().unwrap_or(true)
     }
 
     /// Stretch the loaded latency of every path through `node` by
     /// `factor` (≥ 1.0 degrades, 1.0 restores). Models link-level
-    /// degradation: retraining, congestion spikes, a flaky cable.
+    /// degradation: retraining, congestion spikes, a flaky cable. Unknown
+    /// nodes are ignored.
     ///
     /// # Panics
-    /// Panics on an unknown node or a factor below 1.0.
+    /// Panics on a factor below 1.0.
     pub fn degrade_node(&mut self, node: NodeId, factor: f64) {
-        assert!(node.0 < self.node_count, "unknown node {node}");
         assert!(factor >= 1.0, "degradation factor must be >= 1.0");
-        self.latency_factor[node.0 as usize] = factor;
+        if let Some(f) = self.latency_factor.get_mut(node.0 as usize) {
+            *f = factor;
+        }
     }
 
-    /// Restore `node`'s links to full health.
+    /// Restore `node`'s links to full health. Unknown nodes are ignored.
     pub fn restore_node(&mut self, node: NodeId) {
-        self.latency_factor[node.0 as usize] = 1.0;
+        if let Some(f) = self.latency_factor.get_mut(node.0 as usize) {
+            *f = 1.0;
+        }
     }
 
-    /// Loaded latency of the path between `a` and `b` at utilization `u`,
-    /// stretched by the worse of the two ends' degradation factors.
-    fn path_latency(&self, u: f64, a: NodeId, b: NodeId) -> SimDuration {
+    /// Loaded latency between known nodes `a` and `b` at utilization `u`:
+    /// the curve, stretched by the worse of the two ends' degradation
+    /// factors, plus `extra_hop` for each switch `route` crosses beyond
+    /// the first.
+    #[inline]
+    fn path_latency(&self, u: f64, a: NodeId, b: NodeId, route: &Route) -> SimDuration {
         let factor = self.latency_factor[a.0 as usize].max(self.latency_factor[b.0 as usize]);
-        self.profile.curve.at(u).mul_f64(factor)
+        self.profile.curve.at(u).mul_f64(factor) + self.extra_hop * (route.len as u64 - 2)
     }
 
+    /// Both ends must be nodes of this fabric with their ports up.
     fn check_ports(&self, requester: NodeId, holder: NodeId) -> Result<(), FabricError> {
+        if requester.0 >= self.node_count || holder.0 >= self.node_count {
+            return Err(FabricError::Contract(
+                "unknown node: no such port on the fabric",
+            ));
+        }
         if self.port_down[requester.0 as usize] {
             return Err(FabricError::RequesterDown(requester));
         }
@@ -283,13 +413,42 @@ impl Fabric {
         Ok(())
     }
 
+    /// Carry `bytes` across `wires` in order from `at`, store-and-forward;
+    /// returns when the last wire is done.
+    // Inlined, with `path_latency`, so each charge compiles to straight-line
+    // wire calls: outlined, they cost the star's hot paths a call per hop.
+    #[inline]
+    fn carry(&mut self, wires: &[usize], at: SimTime, bytes: u64, band: Band) -> SimTime {
+        wires.iter().fold(at, |t, &w| {
+            self.links[w].transfer_wire_banded(t, bytes, band).1
+        })
+    }
+
+    /// How long `flits` control flits of `flit_bytes` and a payload of
+    /// `bytes` crossing `wires` wires take on idle node-class wires.
+    fn unloaded(&self, flits: u64, flit_bytes: u64, wires: usize, bytes: u64) -> SimDuration {
+        let bw = self.profile.bandwidth;
+        bw.time_to_transfer(flit_bytes) * flits + bw.time_to_transfer(bytes) * wires as u64
+    }
+
+    /// Highest windowed utilization over every wire of both routes.
+    fn path_utilization(&mut self, now: SimTime, there: &Route, back: &Route) -> f64 {
+        let links = &mut self.links;
+        there
+            .wires()
+            .iter()
+            .chain(back.wires())
+            .map(|&w| links[w].utilization(now))
+            .fold(0.0, f64::max)
+    }
+
     /// A remote read: `requester` loads `bytes` that reside on `holder`.
     ///
     /// # Panics
     /// Panics if `requester == holder` — local accesses never touch the
-    /// fabric and must be served by the memory model instead — or if
-    /// either port is down (use [`Fabric::try_read`] under fault
-    /// injection).
+    /// fabric and must be served by the memory model instead — if either
+    /// node is unknown, or if either port is down (use [`Fabric::try_read`]
+    /// under fault injection).
     #[allow(clippy::expect_used)] // documented infallible wrapper, see above
     pub fn read(
         &mut self,
@@ -308,7 +467,7 @@ impl Fabric {
     /// Fallible remote read; see [`Fabric::read`]. Returns an error
     /// instead of completing when either endpoint's port is down, or
     /// [`FabricError::Contract`] for a self-transfer (local accesses never
-    /// touch the fabric).
+    /// touch the fabric) or an unknown node.
     pub fn try_read(
         &mut self,
         now: SimTime,
@@ -337,48 +496,36 @@ impl Fabric {
         }
         self.check_ports(requester, holder)?;
         self.reads.inc();
-        // Bottleneck utilization along the data path, sampled pre-admission.
-        let u = self.path_utilization(now, requester, holder);
-        let latency = self.path_latency(u, requester, holder);
+        let there = self.route_between(requester, holder);
+        let back = self.route_between(holder, requester);
+        // Bottleneck utilization along both routes, sampled pre-admission.
+        let u = self.path_utilization(now, &there, &back);
+        let latency = self.path_latency(u, requester, holder, &back);
 
-        // Request flits.
-        let r_up = self.up_index(requester);
-        let h_down = self.down_index(holder);
-        let q1 = self.links[r_up].transfer_wire_banded(now, REQUEST_FLIT_BYTES, band);
-        let q2 = self.links[h_down].transfer_wire_banded(q1.1, REQUEST_FLIT_BYTES, band);
-        // Data payload.
-        let h_up = self.up_index(holder);
-        let r_down = self.down_index(requester);
-        let d1 = self.links[h_up].transfer_wire_banded(q2.1, bytes, band);
-        let d2 = self.links[r_down].transfer_wire_banded(d1.1, bytes, band);
+        let asked = self.carry(&there.ends(), now, REQUEST_FLIT_BYTES, band);
+        let done = self.carry(back.wires(), asked, bytes, band);
 
-        let wire_time = self.profile.bandwidth.time_to_transfer(bytes);
-        let unqueued = now
-            + self
-                .profile
-                .bandwidth
-                .time_to_transfer(REQUEST_FLIT_BYTES)
-                * 2
-            + wire_time * 2;
-        let complete = d2.1 + latency;
-        let queued = d2.1.saturating_duration_since(unqueued);
+        let unqueued = now + self.unloaded(2, REQUEST_FLIT_BYTES, back.len, bytes);
+        let complete = done + latency;
         self.record_read(complete.duration_since(now));
         Ok(FabricCompletion {
             complete,
             latency,
-            queued,
+            queued: done.saturating_duration_since(unqueued),
         })
     }
 
     /// Plan-time estimate of a remote read's completion, charging no wire
-    /// state: chains the four FIFO `free_at` horizons and adds the
-    /// profile's *unloaded* latency floor. Hedging uses this to decide
-    /// whether a read is worth duplicating before any leg is admitted —
-    /// queueing backlog, which the chain captures exactly, is what a hedge
-    /// dodges; the loaded-latency term it omits is small and loads both
-    /// legs alike. Under banded queueing the FIFO ledger still tracks
-    /// aggregate occupancy, so this is the aggregate-backlog estimate.
-    /// `None` when either port is down or the access would be local.
+    /// state: chains the `free_at` horizons of the request flit's and the
+    /// payload's wires, each crossed at a node link's speed (so a thicker
+    /// uplink makes it conservative), and adds the route's *unloaded*
+    /// latency floor. Hedging uses this to decide whether a read is worth duplicating
+    /// before any leg is admitted — queueing backlog, which the chain
+    /// captures exactly, is what a hedge dodges; the loaded-latency term it
+    /// omits is small and loads both legs alike. Under banded queueing the
+    /// FIFO ledger still tracks aggregate occupancy, so this is the
+    /// aggregate-backlog estimate. `None` when either node is unknown or
+    /// its port is down, or the access would be local.
     pub fn estimate_read_completion(
         &self,
         now: SimTime,
@@ -389,28 +536,34 @@ impl Fabric {
         if requester == holder || self.check_ports(requester, holder).is_err() {
             return None;
         }
+        let there = self.route_between(requester, holder);
+        let back = self.route_between(holder, requester);
         let flit = self.profile.bandwidth.time_to_transfer(REQUEST_FLIT_BYTES);
         let wire = self.profile.bandwidth.time_to_transfer(bytes);
-        let q1 = self.links[self.up_index(requester)].free_at(now).max(now) + flit;
-        let q2 = self.links[self.down_index(holder)].free_at(q1).max(q1) + flit;
-        let d1 = self.links[self.up_index(holder)].free_at(q2).max(q2) + wire;
-        let d2 = self.links[self.down_index(requester)].free_at(d1).max(d1) + wire;
-        let latency = self.path_latency(0.0, requester, holder);
-        Some(d2 + latency)
+        let asked = there
+            .ends()
+            .iter()
+            .fold(now, |t, &w| self.links[w].free_at(t) + flit);
+        let done = back
+            .wires()
+            .iter()
+            .fold(asked, |t, &w| self.links[w].free_at(t) + wire);
+        Some(done + self.path_latency(0.0, requester, holder, &back))
     }
 
     /// A hedged read race: `requester` asks both `primary` and `hedge` for
-    /// the same `bytes`; the switch forwards whichever payload arrives
-    /// first and **cancels the loser at the switch**, so only the winning
-    /// payload occupies the requester's down wire. Both request flits and
-    /// both holders' up-wire payloads are charged — the duplicate's
-    /// transmit bandwidth is the real price of hedging — and the read
-    /// counter records both issued reads.
+    /// the same `bytes`; the switch where the two payloads' routes merge
+    /// forwards whichever arrives first and **cancels the loser there**, so
+    /// only the winning payload occupies the shared wires — on the star,
+    /// the requester's down wire. Both request flits and each payload's
+    /// wires up to the merge are charged — the duplicate's transmit
+    /// bandwidth is the real price of hedging — and the read counter
+    /// records both issued reads.
     ///
-    /// The race is adjudicated on up-wire arrival (`*_at_switch`), which
-    /// is where a cut-through switch can first commit to one source; ties
-    /// go to the primary. Returns [`FabricError::Contract`] when the two
-    /// sources are not distinct remote nodes.
+    /// The race is adjudicated on arrival at the merge (`*_at_switch`),
+    /// which is where a cut-through switch can first commit to one source;
+    /// ties go to the primary. Returns [`FabricError::Contract`] when the
+    /// two sources are not distinct remote nodes of this fabric.
     pub fn try_read_hedged(
         &mut self,
         now: SimTime,
@@ -433,41 +586,47 @@ impl Fabric {
         self.check_ports(requester, primary)?;
         self.check_ports(requester, hedge)?;
         self.reads.add(2);
-        let u_p = self.path_utilization(now, requester, primary);
-        let u_h = self.path_utilization(now, requester, hedge);
-        let lat_p = self.path_latency(u_p, requester, primary);
-        let lat_h = self.path_latency(u_h, requester, hedge);
+        let to_p = self.route_between(requester, primary);
+        let to_h = self.route_between(requester, hedge);
+        let from_p = self.route_between(primary, requester);
+        let from_h = self.route_between(hedge, requester);
+        let u_p = self.path_utilization(now, &to_p, &from_p);
+        let u_h = self.path_utilization(now, &to_h, &from_h);
+        let lat_p = self.path_latency(u_p, requester, primary, &from_p);
+        let lat_h = self.path_latency(u_h, requester, hedge, &from_h);
 
         // Two request flits leave the requester back to back; each holder
-        // then transmits the payload on its own up wire.
-        let r_up = self.up_index(requester);
-        let q1p = self.links[r_up].transfer_wire_banded(now, REQUEST_FLIT_BYTES, band);
-        let q1h = self.links[r_up].transfer_wire_banded(now, REQUEST_FLIT_BYTES, band);
-        let p_down = self.down_index(primary);
-        let h_down = self.down_index(hedge);
-        let q2p = self.links[p_down].transfer_wire_banded(q1p.1, REQUEST_FLIT_BYTES, band);
-        let q2h = self.links[h_down].transfer_wire_banded(q1h.1, REQUEST_FLIT_BYTES, band);
-        let p_up = self.up_index(primary);
-        let h_up = self.up_index(hedge);
-        let dp = self.links[p_up].transfer_wire_banded(q2p.1, bytes, band);
-        let dh = self.links[h_up].transfer_wire_banded(q2h.1, bytes, band);
+        // then transmits the payload up to where the two routes merge.
+        // Routes to one node share every wire from their first common one
+        // on, so the legs before the merge are disjoint.
+        let shared = from_p
+            .wires()
+            .iter()
+            .rev()
+            .zip(from_h.wires().iter().rev())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let (p_leg, tail) = from_p.wires().split_at(from_p.len - shared);
+        let h_leg = &from_h.wires()[..from_h.len - shared];
+        let asked_p = self.carry(&to_p.ends(), now, REQUEST_FLIT_BYTES, band);
+        let asked_h = self.carry(&to_h.ends(), now, REQUEST_FLIT_BYTES, band);
+        let at_p = self.carry(p_leg, asked_p, bytes, band);
+        let at_h = self.carry(h_leg, asked_h, bytes, band);
 
-        let primary_won = dp.1 <= dh.1;
-        let (win_at_switch, latency) = if primary_won {
-            (dp.1, lat_p)
+        let primary_won = at_p <= at_h;
+        let (win_at, latency) = if primary_won {
+            (at_p, lat_p)
         } else {
-            (dh.1, lat_h)
+            (at_h, lat_h)
         };
-        // Only the winner crosses the requester's down wire.
-        let r_down = self.down_index(requester);
-        let d2 = self.links[r_down].transfer_wire_banded(win_at_switch, bytes, band);
-        let complete = d2.1 + latency;
+        // Only the winner crosses the shared wires.
+        let complete = self.carry(tail, win_at, bytes, band) + latency;
         self.record_read(complete.duration_since(now));
         Ok(HedgedCompletion {
             primary_won,
             complete,
-            primary_at_switch: dp.1,
-            hedge_at_switch: dh.1,
+            primary_at_switch: at_p,
+            hedge_at_switch: at_h,
             latency,
         })
     }
@@ -476,8 +635,9 @@ impl Fabric {
     /// Payload flows requester→holder; a completion flit returns.
     ///
     /// # Panics
-    /// Panics if `requester == holder`, or if either port is down (use
-    /// [`Fabric::try_write`] under fault injection).
+    /// Panics if `requester == holder`, if either node is unknown, or if
+    /// either port is down (use [`Fabric::try_write`] under fault
+    /// injection).
     #[allow(clippy::expect_used)] // documented infallible wrapper, see above
     pub fn write(
         &mut self,
@@ -496,7 +656,7 @@ impl Fabric {
     /// Fallible remote write; see [`Fabric::write`]. Returns an error
     /// instead of completing when either endpoint's port is down, or
     /// [`FabricError::Contract`] for a self-transfer (local accesses never
-    /// touch the fabric).
+    /// touch the fabric) or an unknown node.
     pub fn try_write(
         &mut self,
         now: SimTime,
@@ -525,33 +685,20 @@ impl Fabric {
         }
         self.check_ports(requester, holder)?;
         self.writes.inc();
-        let u = self.path_utilization(now, requester, holder);
-        let latency = self.path_latency(u, requester, holder);
+        let there = self.route_between(requester, holder);
+        let back = self.route_between(holder, requester);
+        let u = self.path_utilization(now, &there, &back);
+        let latency = self.path_latency(u, requester, holder, &there);
 
-        let r_up = self.up_index(requester);
-        let h_down = self.down_index(holder);
-        let d1 = self.links[r_up].transfer_wire_banded(now, bytes, band);
-        let d2 = self.links[h_down].transfer_wire_banded(d1.1, bytes, band);
+        let stored = self.carry(there.wires(), now, bytes, band);
         // Completion flit back to the requester.
-        let h_up = self.up_index(holder);
-        let r_down = self.down_index(requester);
-        let c1 = self.links[h_up].transfer_wire_banded(d2.1, REQUEST_FLIT_BYTES, band);
-        let c2 = self.links[r_down].transfer_wire_banded(c1.1, REQUEST_FLIT_BYTES, band);
+        let acked = self.carry(&back.ends(), stored, REQUEST_FLIT_BYTES, band);
 
-        let wire_time = self.profile.bandwidth.time_to_transfer(bytes);
-        let unqueued = now
-            + wire_time * 2
-            + self
-                .profile
-                .bandwidth
-                .time_to_transfer(REQUEST_FLIT_BYTES)
-                * 2;
-        let complete = c2.1 + latency;
-        let queued = c2.1.saturating_duration_since(unqueued);
+        let unqueued = now + self.unloaded(2, REQUEST_FLIT_BYTES, there.len, bytes);
         Ok(FabricCompletion {
-            complete,
+            complete: acked + latency,
             latency,
-            queued,
+            queued: acked.saturating_duration_since(unqueued),
         })
     }
 
@@ -561,9 +708,9 @@ impl Fabric {
     ///
     /// The stream pays per-stream overheads **once** — one request flit
     /// (reads) or one completion flit (writes), one loaded-latency sample —
-    /// while the payload chunks pipeline through the two-wire path: chunk
-    /// `i+1` occupies the holder's up wire while chunk `i` drains down to
-    /// the requester. With a single chunk the wire schedule is identical to
+    /// while the payload chunks pipeline along the route: chunk `i+1`
+    /// occupies the first wire while chunk `i` drains down the next. With
+    /// a single chunk the wire schedule is identical to
     /// [`Fabric::try_read`]/[`Fabric::try_write`], so a batch of one costs
     /// exactly one single op.
     ///
@@ -571,8 +718,8 @@ impl Fabric {
     /// the counters track logical operations served, which upper layers'
     /// conservation checks compare against per-op access counts.
     ///
-    /// Returns [`FabricError::Contract`] for a self-transfer, an empty
-    /// chunk list, or zero `ops`.
+    /// Returns [`FabricError::Contract`] for a self-transfer, an unknown
+    /// node, an empty chunk list, or zero `ops`.
     ///
     /// `band` picks the priority band each wire charge rides. With bands
     /// disabled (the default) it is ignored.
@@ -605,23 +752,18 @@ impl Fabric {
             MemOp::Read => self.reads.add(ops),
             MemOp::Write => self.writes.add(ops),
         }
-        let u = self.path_utilization(now, requester, holder);
-        let latency = self.path_latency(u, requester, holder);
+        let there = self.route_between(requester, holder);
+        let back = self.route_between(holder, requester);
+        let u = self.path_utilization(now, &there, &back);
+        let latency = self.path_latency(u, requester, holder, &there);
 
-        let r_up = self.up_index(requester);
-        let r_down = self.down_index(requester);
-        let h_up = self.up_index(holder);
-        let h_down = self.down_index(holder);
         let mut chunk_done = Vec::with_capacity(chunks.len());
         let complete = match op {
             MemOp::Read => {
                 // One request flit describes the whole scatter list.
-                let q1 = self.links[r_up].transfer_wire_banded(now, REQUEST_FLIT_BYTES, band);
-                let q2 = self.links[h_down].transfer_wire_banded(q1.1, REQUEST_FLIT_BYTES, band);
+                let asked = self.carry(&there.ends(), now, REQUEST_FLIT_BYTES, band);
                 for &bytes in chunks {
-                    let d1 = self.links[h_up].transfer_wire_banded(q2.1, bytes, band);
-                    let d2 = self.links[r_down].transfer_wire_banded(d1.1, bytes, band);
-                    chunk_done.push(d2.1 + latency);
+                    chunk_done.push(self.carry(back.wires(), asked, bytes, band) + latency);
                 }
                 // `chunks` was checked non-empty above, so the loop pushed
                 // at least one completion.
@@ -630,17 +772,13 @@ impl Fabric {
                 complete
             }
             MemOp::Write => {
-                let mut last_down = now;
+                let mut stored = now;
                 for &bytes in chunks {
-                    let d1 = self.links[r_up].transfer_wire_banded(now, bytes, band);
-                    let d2 = self.links[h_down].transfer_wire_banded(d1.1, bytes, band);
-                    last_down = last_down.max(d2.1);
+                    stored = stored.max(self.carry(there.wires(), now, bytes, band));
                 }
                 // One completion flit acknowledges the whole stream.
-                let c1 =
-                    self.links[h_up].transfer_wire_banded(last_down, REQUEST_FLIT_BYTES, band);
-                let c2 = self.links[r_down].transfer_wire_banded(c1.1, REQUEST_FLIT_BYTES, band);
-                let complete = c2.1 + latency;
+                let acked = self.carry(&back.ends(), stored, REQUEST_FLIT_BYTES, band);
+                let complete = acked + latency;
                 chunk_done.resize(chunks.len(), complete);
                 complete
             }
@@ -653,14 +791,14 @@ impl Fabric {
     }
 
     /// A heartbeat probe: `prober` pings `target` and waits for the echo.
-    /// A probe is two header-only flits (out on `up[prober]`/`down[target]`,
-    /// back on `up[target]`/`down[prober]`) and experiences the loaded
-    /// latency once, like any other round trip — so probes slow down under
-    /// congestion but never move payload bandwidth. Failures report which
-    /// side was unreachable: [`FabricError::RequesterDown`] means the
-    /// *prober* could not transmit (inconclusive evidence about the
-    /// target), [`FabricError::HolderDown`] means the target did not echo,
-    /// and [`FabricError::Contract`] a self-probe.
+    /// A probe is two header-only flits (out on `prober`'s up and
+    /// `target`'s down wire, back on the reverse pair) and experiences the
+    /// loaded latency once, like any other round trip — so probes slow
+    /// down under congestion but never move payload bandwidth. Failures
+    /// report which side was unreachable: [`FabricError::RequesterDown`]
+    /// means the *prober* could not transmit (inconclusive evidence about
+    /// the target), [`FabricError::HolderDown`] means the target did not
+    /// echo, and [`FabricError::Contract`] a self-probe or an unknown node.
     pub fn probe(
         &mut self,
         now: SimTime,
@@ -674,30 +812,24 @@ impl Fabric {
         }
         self.check_ports(prober, target)?;
         self.probes.inc();
-        let u = self.path_utilization(now, prober, target);
-        let latency = self.path_latency(u, prober, target);
+        let there = self.route_between(prober, target);
+        let back = self.route_between(target, prober);
+        let u = self.path_utilization(now, &there, &back);
+        let latency = self.path_latency(u, prober, target, &there);
 
         // Probes are control traffic: with bands enabled they ride the
         // high-priority band, so failure detection stays responsive even
         // while a tenant floods the data bands. (With bands off the band
         // argument is ignored and the schedule is unchanged.)
-        let p_up = self.up_index(prober);
-        let t_down = self.down_index(target);
-        let q1 = self.links[p_up].transfer_wire_banded(now, PROBE_BYTES, Band::High);
-        let q2 = self.links[t_down].transfer_wire_banded(q1.1, PROBE_BYTES, Band::High);
+        let pinged = self.carry(&there.ends(), now, PROBE_BYTES, Band::High);
         // Echo flit back to the prober.
-        let t_up = self.up_index(target);
-        let p_down = self.down_index(prober);
-        let e1 = self.links[t_up].transfer_wire_banded(q2.1, PROBE_BYTES, Band::High);
-        let e2 = self.links[p_down].transfer_wire_banded(e1.1, PROBE_BYTES, Band::High);
+        let echoed = self.carry(&back.ends(), pinged, PROBE_BYTES, Band::High);
 
-        let unqueued = now + self.profile.bandwidth.time_to_transfer(PROBE_BYTES) * 4;
-        let complete = e2.1 + latency;
-        let queued = e2.1.saturating_duration_since(unqueued);
+        let unqueued = now + self.unloaded(4, PROBE_BYTES, 0, 0);
         Ok(FabricCompletion {
-            complete,
+            complete: echoed + latency,
             latency,
-            queued,
+            queued: echoed.saturating_duration_since(unqueued),
         })
     }
 
@@ -760,18 +892,6 @@ impl Fabric {
         }
     }
 
-    fn path_utilization(&mut self, now: SimTime, a: NodeId, b: NodeId) -> f64 {
-        let ids = [
-            self.up_index(a),
-            self.down_index(a),
-            self.up_index(b),
-            self.down_index(b),
-        ];
-        ids.into_iter()
-            .map(|i| self.links[i].utilization(now))
-            .fold(0.0, f64::max)
-    }
-
     /// Total remote reads served.
     pub fn read_count(&self) -> u64 {
         self.reads.get()
@@ -804,7 +924,7 @@ impl Fabric {
         for n in 0..self.node_count {
             let node = NodeId(n);
             let label = n.to_string();
-            for (dir, idx) in [("up", self.up_index(node)), ("down", self.down_index(node))] {
+            for (dir, idx) in [("up", self.up(node).0), ("down", self.down(node).0)] {
                 let labels = [("node", label.as_str()), ("dir", dir)];
                 let util = self.links[idx].utilization(now);
                 let queue_ns = self.links[idx]
@@ -813,11 +933,7 @@ impl Fabric {
                     .as_nanos();
                 reg.set_gauge_value("fabric.link.utilization", &labels, util);
                 reg.set_gauge_value("fabric.link.queue_ns", &labels, queue_ns as f64);
-                reg.fill_counter_value(
-                    "fabric.link.bytes",
-                    &labels,
-                    self.links[idx].bytes_sent(),
-                );
+                reg.fill_counter_value("fabric.link.bytes", &labels, self.links[idx].bytes_sent());
                 reg.fill_counter_value(
                     "fabric.link.transfers",
                     &labels,
@@ -828,8 +944,11 @@ impl Fabric {
                 // band-free runs stay byte-identical to pre-QoS builds.
                 if let Some(backlogs) = self.links[idx].band_backlogs(now) {
                     for band in Band::ALL {
-                        let band_labels =
-                            [("node", label.as_str()), ("dir", dir), ("band", band.label())];
+                        let band_labels = [
+                            ("node", label.as_str()),
+                            ("dir", dir),
+                            ("band", band.label()),
+                        ];
                         reg.set_gauge_value(
                             "fabric.link.queue_ns",
                             &band_labels,
@@ -887,9 +1006,13 @@ mod tests {
             .estimate_read_completion(t(0), NodeId(0), NodeId(1), 4096)
             .unwrap();
         assert!(loaded > idle + SimDuration::from_micros(90));
-        assert!(f.estimate_read_completion(t(0), NodeId(0), NodeId(0), 64).is_none());
+        assert!(f
+            .estimate_read_completion(t(0), NodeId(0), NodeId(0), 64)
+            .is_none());
         f.set_port_down(NodeId(1), true);
-        assert!(f.estimate_read_completion(t(0), NodeId(0), NodeId(1), 64).is_none());
+        assert!(f
+            .estimate_read_completion(t(0), NodeId(0), NodeId(1), 64)
+            .is_none());
     }
 
     #[test]
@@ -903,7 +1026,10 @@ mod tests {
         assert!(!r.primary_won);
         assert!(r.hedge_at_switch < r.primary_at_switch);
         assert!(r.complete > r.hedge_at_switch);
-        assert!(r.complete < r.primary_at_switch, "winner dodges the backlog");
+        assert!(
+            r.complete < r.primary_at_switch,
+            "winner dodges the backlog"
+        );
         // Only the winning payload crossed the requester's down wire: the
         // loser was cancelled at the switch.
         assert_eq!(f.link(f.down(NodeId(0))).bytes_sent(), 4096);
@@ -1312,6 +1438,167 @@ mod tests {
         on.export_into(t(0), &mut reg);
         let snap = reg.snapshot();
         assert!(snap.to_json().contains("band="), "band gauges exported");
+    }
+
+    /// Link1 racks of `leaves × per_leaf` nodes, 40 ns per extra switch.
+    fn dc(racks: u32, leaves: u32, per_leaf: u32, uplink: f64, spine: f64) -> Fabric {
+        Fabric::datacenter(
+            LinkProfile::link1(),
+            racks,
+            leaves,
+            per_leaf,
+            uplink,
+            spine,
+            SimDuration::from_nanos(40),
+        )
+    }
+
+    #[test]
+    fn routes_pay_for_every_switch_they_cross() {
+        // 2 racks × 2 leaves × 2 nodes: 8 node, 4 leaf and 2 spine pairs.
+        let mut f = dc(2, 2, 2, 4.0, 2.0);
+        assert_eq!(f.node_count(), 8);
+        let mut ledger = Vec::new();
+        f.ledger(&mut ledger);
+        assert_eq!(ledger.len(), 2 + 2 * (16 + 8 + 4));
+        let lat = |f: &mut Fabric, h: u32| f.read(t(0), NodeId(0), NodeId(h), 64).latency;
+        assert_eq!(lat(&mut f, 1).as_nanos(), 261, "same leaf: one switch");
+        assert_eq!(lat(&mut f, 2).as_nanos(), 261 + 2 * 40, "cross-leaf: three");
+        assert_eq!(lat(&mut f, 4).as_nanos(), 261 + 4 * 40, "cross-rack: five");
+        // The cross-rack payload crossed both racks' spine uplinks once.
+        let spine: u64 = (24..28).map(|w| f.link(LinkId(w)).bytes_sent()).sum();
+        assert_eq!(spine, 2 * 64);
+    }
+
+    #[test]
+    fn oversubscribed_uplinks_throttle_traffic_leaving_a_leaf_or_rack() {
+        // Every node of leaf (or rack) 0 reads from its counterpart in
+        // leaf (or rack) 1, four streams sharing each uplink.
+        let run = |racks: u32, leaves: u32, uplink: f64, spine: f64| {
+            let mut f = dc(racks, leaves, 4, uplink, spine);
+            let mut done = t(0);
+            for round in 0..50 {
+                for n in 0..4 {
+                    let c = f.read(t(round), NodeId(n), NodeId(4 + n), 500_000);
+                    done = done.max(c.complete);
+                }
+            }
+            done.as_nanos()
+        };
+        assert!(run(1, 2, 1.0, 1.0) > run(1, 2, 4.0, 1.0) * 3, "leaf uplink");
+        assert!(
+            run(2, 1, 4.0, 1.0) > run(2, 1, 4.0, 8.0) * 3,
+            "spine uplink"
+        );
+    }
+
+    #[test]
+    fn same_leaf_traffic_ignores_busy_uplinks() {
+        let mut f = dc(2, 1, 4, 1.0, 1.0);
+        for i in 0..50 {
+            f.read(t(i), NodeId(0), NodeId(4), 2_000_000);
+        }
+        let c = f.read(t(0), NodeId(5), NodeId(6), 64);
+        assert_eq!(c.latency.as_nanos(), 261, "unloaded same-leaf latency");
+    }
+
+    #[test]
+    fn estimate_matches_an_idle_cross_rack_read_exactly() {
+        // Node-class uplinks: the estimate crosses every wire at node speed.
+        let mut f = dc(2, 2, 2, 1.0, 1.0);
+        let est = f.estimate_read_completion(t(0), NodeId(0), NodeId(7), 4096);
+        let c = f.try_read(t(0), NodeId(0), NodeId(7), 4096).unwrap();
+        assert_eq!(est, Some(c.complete));
+        assert_eq!(c.queued, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn hedged_race_cancels_the_loser_where_the_routes_merge() {
+        // Both sources sit in rack 1 on different leaves: the legs merge
+        // at rack 1's spine uplink, which only the winner crosses.
+        let mut f = dc(2, 2, 2, 4.0, 2.0);
+        let r = f
+            .try_read_hedged(t(0), NodeId(0), NodeId(4), NodeId(6), 4096, Band::Normal)
+            .unwrap();
+        assert!(r.primary_won);
+        let sent = |f: &Fabric, w: usize| f.link(LinkId(w)).bytes_sent();
+        // Each holder's up wire and leaf uplink carried its own payload.
+        assert_eq!(sent(&f, 8), 4096);
+        assert_eq!(sent(&f, 12), 4096);
+        assert_eq!(sent(&f, 16 + 2 * 2), 4096, "primary's leaf uplink");
+        assert_eq!(sent(&f, 16 + 2 * 3), 4096, "hedge's leaf uplink");
+        // One payload past the merge: rack 1 up, rack 0 down, leaf 0
+        // down, node 0 down.
+        assert_eq!(sent(&f, 24 + 2), 4096);
+        assert_eq!(sent(&f, 24 + 1), 4096);
+        assert_eq!(sent(&f, 16 + 1), 4096);
+        assert_eq!(sent(&f, 1), 4096);
+    }
+
+    #[test]
+    fn unknown_nodes_are_contract_errors_that_charge_nothing() {
+        for f in [
+            &mut Fabric::new(LinkProfile::link1(), 4),
+            &mut dc(2, 1, 2, 4.0, 2.0),
+        ] {
+            let before = |f: &Fabric| {
+                let (mut ledger, mut layout) = (Vec::new(), Vec::new());
+                f.ledger(&mut ledger);
+                f.layout(t(0), &mut layout);
+                (ledger, layout)
+            };
+            let start = before(f);
+            let n = f.node_count();
+            for bad in [NodeId(n), NodeId(n + 5)] {
+                let ok = NodeId(1);
+                for (a, b) in [(ok, bad), (bad, ok)] {
+                    let contract =
+                        |r: Result<(), FabricError>| matches!(r, Err(FabricError::Contract(_)));
+                    assert!(contract(f.try_read(t(0), a, b, 64).map(|_| ())));
+                    assert!(contract(f.try_write(t(0), a, b, 64).map(|_| ())));
+                    assert!(contract(
+                        f.transfer_batch_banded(t(0), a, b, MemOp::Read, &[64], 1, Band::Normal)
+                            .map(|_| ())
+                    ));
+                    assert!(contract(f.probe(t(0), a, b).map(|_| ())));
+                    assert!(contract(
+                        f.try_read_hedged(t(0), NodeId(0), a, b, 64, Band::Normal)
+                            .map(|_| ())
+                    ));
+                    assert_eq!(f.estimate_read_completion(t(0), a, b, 64), None);
+                }
+                assert!(f.is_port_down(bad));
+                f.set_port_down(bad, false);
+                f.degrade_node(bad, 2.0);
+                f.restore_node(bad);
+                f.provision_uplink(bad, 4.0);
+            }
+            assert_eq!(before(f), start);
+            assert_eq!(
+                (f.read_count(), f.write_count(), f.probe_count()),
+                (0, 0, 0)
+            );
+        }
+    }
+
+    #[test]
+    fn degenerate_shapes_are_clamped() {
+        let f = Fabric::datacenter(
+            LinkProfile::link1(),
+            0,
+            0,
+            0,
+            -1.0,
+            f64::NAN,
+            SimDuration::ZERO,
+        );
+        assert_eq!(f.node_count(), 1);
+        assert_eq!(Fabric::new(LinkProfile::link1(), 0).node_count(), 1);
+        // Two racks of one node each: the multipliers fell back to 1.0.
+        let f = Fabric::datacenter(LinkProfile::link1(), 2, 0, 0, 0.0, -2.0, SimDuration::ZERO);
+        let bw = |w: usize| f.link(LinkId(w)).profile().bandwidth;
+        assert_eq!(bw(4), bw(0), "leaf uplink");
+        assert_eq!(bw(8), bw(0), "spine uplink");
     }
 
     #[test]

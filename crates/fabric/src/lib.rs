@@ -13,28 +13,23 @@
 //!   envelope, with `Link0`/`Link1`/`Pond`/`FPGA` presets.
 //! * [`link::Link`] — one directed wire: FIFO serialization plus a
 //!   load-dependent latency component.
-//! * [`fabric::Fabric`] — a star topology through one switch, with
-//!   emergent incast and per-link telemetry.
-//! * [`topology::LeafSpineFabric`] — one rack: nodes → leaves → spine with
-//!   Port-Based Routing and oversubscribed leaf uplinks.
-//! * [`datacenter::DatacenterFabric`] — N racks joined by an
-//!   oversubscribed datacenter spine, with cross-rack routing and per-rack
-//!   port telemetry.
+//! * [`fabric::Fabric`] — nodes on leaf switches, leaves in racks, racks
+//!   on a datacenter spine, with Port-Based Routing: every charge walks the
+//!   static route between two nodes, so incast and uplink
+//!   oversubscription are emergent. [`Fabric::new`] builds the paper's
+//!   single-switch star (one rack of one leaf), [`Fabric::datacenter`] the
+//!   scaled-out shapes of §2.2.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod datacenter;
 pub mod fabric;
 pub mod link;
 pub mod profile;
-pub mod topology;
 pub mod types;
 
-pub use datacenter::{DatacenterFabric, DcCompletion};
 pub use fabric::{BatchTransfer, Fabric, FabricCompletion, FabricError, HedgedCompletion};
 pub use link::{Link, LinkTransfer};
 pub use lmp_qos::{Band, BandWeights};
 pub use profile::LinkProfile;
-pub use topology::{Hop, LeafSpineFabric, RackCompletion};
 pub use types::{LinkId, MemOp, NodeId, PROBE_BYTES, REQUEST_FLIT_BYTES};

@@ -128,17 +128,14 @@ impl Link {
         }
     }
 
-    /// Occupy the wire for `bytes` without applying the latency curve or
-    /// recording a latency sample. Used by [`crate::fabric::Fabric`], which
-    /// applies its end-to-end latency once per operation rather than per hop.
-    /// Returns `(start, wire_done)`.
-    pub fn transfer_wire(&mut self, now: SimTime, bytes: u64) -> (SimTime, SimTime) {
-        self.transfer_wire_banded(now, bytes, Band::Normal)
-    }
-
-    /// [`Link::transfer_wire`] with an explicit priority band. With bands
-    /// disabled (the default) the band is ignored and the schedule is the
-    /// FIFO one, byte-identical to [`Link::transfer_wire`].
+    /// Occupy the wire for `bytes` in `band` without applying the latency
+    /// curve or recording a latency sample. Used by
+    /// [`crate::fabric::Fabric`], which applies its end-to-end latency once
+    /// per operation rather than per hop. With bands disabled (the default)
+    /// the band is ignored and the schedule is the FIFO one. Returns
+    /// `(start, wire_done)`.
+    // Inlined: every fabric charge makes one call per wire it crosses.
+    #[inline]
     pub fn transfer_wire_banded(
         &mut self,
         now: SimTime,
@@ -284,8 +281,8 @@ mod tests {
         let mut banded = Link::new(LinkProfile::link1());
         banded.enable_bands(BandWeights::default());
         for i in 0..16u64 {
-            let a = fifo.transfer_wire(t(i * 40), 4096 + i * 128);
-            let b = banded.transfer_wire(t(i * 40), 4096 + i * 128);
+            let a = fifo.transfer_wire_banded(t(i * 40), 4096 + i * 128, Band::Normal);
+            let b = banded.transfer_wire_banded(t(i * 40), 4096 + i * 128, Band::Normal);
             assert_eq!(a, b, "transfer {i}");
         }
         assert_eq!(fifo.bytes_sent(), banded.bytes_sent());
@@ -308,7 +305,7 @@ mod tests {
     #[test]
     fn fifo_link_reports_no_band_backlogs() {
         let mut link = Link::new(LinkProfile::link0());
-        link.transfer_wire(t(0), 4096);
+        link.transfer_wire_banded(t(0), 4096, Band::Normal);
         assert!(!link.bands_enabled());
         assert!(link.band_backlogs(t(0)).is_none());
     }

@@ -98,7 +98,6 @@ pub mod transition {
         // Exporters that feed the rack snapshot.
         "crates/fabric/src/fabric.rs",
         "crates/fabric/src/link.rs",
-        "crates/fabric/src/datacenter.rs",
         "crates/coherence/src/region.rs",
         "crates/coherence/src/directory.rs",
         "crates/coherence/src/filter.rs",
@@ -127,7 +126,6 @@ pub mod transition {
         "crates/core/src/placement.rs",
         "crates/fabric/src/fabric.rs",
         "crates/fabric/src/link.rs",
-        "crates/fabric/src/datacenter.rs",
         "crates/mem/src/node.rs",
         "crates/qos/src/admit.rs",
         "crates/qos/src/band.rs",
