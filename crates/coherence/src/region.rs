@@ -172,11 +172,6 @@ impl CoherentRegion {
         self.total_cost
     }
 
-    /// Total operations served.
-    pub fn op_count(&self) -> u64 {
-        self.ops
-    }
-
     /// Export directory and filter traffic into a telemetry registry,
     /// labelling every instrument with `region`.
     pub fn export_into(&self, region: &str, reg: &mut lmp_telemetry::MetricRegistry) {

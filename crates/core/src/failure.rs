@@ -393,34 +393,6 @@ impl ProtectionManager {
             }
             // Port flap: fall through and route around it.
         }
-        self.read_degraded_via_protection(pool, fabric, now, requester, addr, len)
-    }
-
-    /// [`ProtectionManager::read_degraded`] minus its primary attempt:
-    /// serve straight from the protection layer — mirror twin first, then
-    /// an on-the-fly XOR rebuild. This is the hedge path: a hedged read
-    /// already has a (slow) primary in flight and wants the duplicate to
-    /// race it through the *other* copy, never the same congested link.
-    /// Returns [`PoolError::SegmentLost`] when no protection covers `seg`.
-    pub fn read_degraded_via_protection(
-        &self,
-        pool: &LogicalPool,
-        fabric: &mut Fabric,
-        now: SimTime,
-        requester: NodeId,
-        addr: LogicalAddr,
-        len: u64,
-    ) -> Result<DegradedRead, PoolError> {
-        let seg = addr.segment;
-        let seg_len = pool.segment_len(seg).ok_or(PoolError::UnknownSegment(seg))?;
-        let end = addr.offset + len;
-        if end > seg_len {
-            return Err(PoolError::OutOfBounds {
-                segment: seg,
-                end,
-                len: seg_len,
-            });
-        }
         // 2. Mirror twin, at the same offset (writes keep them in sync).
         if let Some(twin) = self.mirror_twin(seg) {
             let home = pool.holder_of(twin).ok_or(PoolError::SegmentLost(seg))?;

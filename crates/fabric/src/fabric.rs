@@ -41,10 +41,6 @@ pub struct FabricCompletion {
     pub complete: SimTime,
     /// Loaded-latency component (end-to-end protocol latency).
     pub latency: SimDuration,
-    /// Time spent queued behind other traffic: how much later the last
-    /// wire finished than the operation's flits and payload take on idle
-    /// node-class wires.
-    pub queued: SimDuration,
 }
 
 /// Completion report for one coalesced batch stream
@@ -424,13 +420,6 @@ impl Fabric {
         })
     }
 
-    /// How long `flits` control flits of `flit_bytes` and a payload of
-    /// `bytes` crossing `wires` wires take on idle node-class wires.
-    fn unloaded(&self, flits: u64, flit_bytes: u64, wires: usize, bytes: u64) -> SimDuration {
-        let bw = self.profile.bandwidth;
-        bw.time_to_transfer(flit_bytes) * flits + bw.time_to_transfer(bytes) * wires as u64
-    }
-
     /// Highest windowed utilization over every wire of both routes.
     fn path_utilization(&mut self, now: SimTime, there: &Route, back: &Route) -> f64 {
         let links = &mut self.links;
@@ -505,14 +494,9 @@ impl Fabric {
         let asked = self.carry(&there.ends(), now, REQUEST_FLIT_BYTES, band);
         let done = self.carry(back.wires(), asked, bytes, band);
 
-        let unqueued = now + self.unloaded(2, REQUEST_FLIT_BYTES, back.len, bytes);
         let complete = done + latency;
         self.record_read(complete.duration_since(now));
-        Ok(FabricCompletion {
-            complete,
-            latency,
-            queued: done.saturating_duration_since(unqueued),
-        })
+        Ok(FabricCompletion { complete, latency })
     }
 
     /// Plan-time estimate of a remote read's completion, charging no wire
@@ -694,11 +678,9 @@ impl Fabric {
         // Completion flit back to the requester.
         let acked = self.carry(&back.ends(), stored, REQUEST_FLIT_BYTES, band);
 
-        let unqueued = now + self.unloaded(2, REQUEST_FLIT_BYTES, there.len, bytes);
         Ok(FabricCompletion {
             complete: acked + latency,
             latency,
-            queued: acked.saturating_duration_since(unqueued),
         })
     }
 
@@ -825,11 +807,9 @@ impl Fabric {
         // Echo flit back to the prober.
         let echoed = self.carry(&back.ends(), pinged, PROBE_BYTES, Band::High);
 
-        let unqueued = now + self.unloaded(4, PROBE_BYTES, 0, 0);
         Ok(FabricCompletion {
             complete: echoed + latency,
             latency,
-            queued: echoed.saturating_duration_since(unqueued),
         })
     }
 
@@ -974,9 +954,11 @@ mod tests {
         let mut f = Fabric::new(LinkProfile::link0(), 4);
         let c = f.read(t(0), NodeId(0), NodeId(1), 64);
         assert_eq!(c.latency.as_nanos(), 163);
-        assert_eq!(c.queued, SimDuration::ZERO);
-        // Completion includes flit+payload serialization on four wires.
-        assert!(c.complete > t(163));
+        // Nothing queues: completion is the latency plus the request flit
+        // and the payload serialized once on each of their two wires.
+        let bw = LinkProfile::link0().bandwidth;
+        let wires = bw.time_to_transfer(REQUEST_FLIT_BYTES) * 2 + bw.time_to_transfer(64) * 2;
+        assert_eq!(c.complete, t(163) + wires);
     }
 
     #[test]
@@ -1409,12 +1391,17 @@ mod tests {
             Band::Low,
         )
         .unwrap();
-        // Failure detection stays responsive through the flood.
+        // Failure detection stays responsive through the flood: the probe
+        // finishes within 1 µs of the same probe on an idle fabric.
         let c = f.probe(t(0), NodeId(0), NodeId(1)).unwrap();
+        let idle = Fabric::new(LinkProfile::link1(), 3)
+            .probe(t(0), NodeId(0), NodeId(1))
+            .unwrap();
         assert!(
-            c.queued < SimDuration::from_micros(1),
-            "probe queued {} behind a low-band flood",
-            c.queued
+            c.complete < idle.complete + SimDuration::from_micros(1),
+            "probe done at {} behind a low-band flood, {} when idle",
+            c.complete,
+            idle.complete
         );
     }
 
@@ -1509,7 +1496,11 @@ mod tests {
         let est = f.estimate_read_completion(t(0), NodeId(0), NodeId(7), 4096);
         let c = f.try_read(t(0), NodeId(0), NodeId(7), 4096).unwrap();
         assert_eq!(est, Some(c.complete));
-        assert_eq!(c.queued, SimDuration::ZERO);
+        // Nothing queues: the request flit crosses the route's two end
+        // wires and the payload all six, each once at node speed.
+        let bw = LinkProfile::link1().bandwidth;
+        let wires = bw.time_to_transfer(REQUEST_FLIT_BYTES) * 2 + bw.time_to_transfer(4096) * 6;
+        assert_eq!(c.complete, t(0) + c.latency + wires);
     }
 
     #[test]
@@ -1606,8 +1597,8 @@ mod tests {
         let mut f = Fabric::new(LinkProfile::link0(), 4);
         let a = f.read(t(0), NodeId(0), NodeId(1), 1_000_000);
         let b = f.read(t(0), NodeId(2), NodeId(3), 1_000_000);
-        assert_eq!(a.queued, SimDuration::ZERO);
-        assert_eq!(b.queued, SimDuration::ZERO);
-        assert_eq!(a.complete, b.complete);
+        let idle = Fabric::new(LinkProfile::link0(), 4).read(t(0), NodeId(0), NodeId(1), 1_000_000);
+        assert_eq!(a.complete, idle.complete);
+        assert_eq!(b.complete, idle.complete);
     }
 }

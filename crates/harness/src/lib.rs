@@ -14,7 +14,8 @@
 //! * [`plan`] — [`plan::FaultPlan`]: seeded schedules of server crashes,
 //!   restarts, port flaps, and link-latency degradation.
 //! * [`retry`] — [`retry::RetryPolicy`]: exponential backoff in simulated
-//!   time; transient vs. permanent error classification.
+//!   time, which the scenarios drive through engine events; transient vs.
+//!   permanent error classification.
 //! * [`invariants`] — translation consistency, recovery completeness,
 //!   write-amplification accounting, coherence mutual exclusion under
 //!   snoop-filter overflow, lease-confirmation audit, epoch monotonicity,
@@ -22,9 +23,11 @@
 //!   instrument books must balance in every rack snapshot).
 //! * [`trace`] — [`trace::ChaosTrace`]: the append-only run log and its
 //!   digest (same seed ⇒ same digest, byte for byte).
-//! * [`scenario`] — the seven shipped chaos scenarios and their runner,
-//!   including the self-healing pair (autonomous crash recovery, and
-//!   flap absorption without spurious recovery).
+//! * [`scenario`] — the ten shipped chaos scenarios, each one spec value
+//!   (rack, faults, pinned events, workload, checks), and the one runner
+//!   that executes them: manual crash recovery, self-healing (lease
+//!   detection and throttled auto-repair), rack loss, and hedged reads
+//!   under a flood.
 //!
 //! ```
 //! use lmp_harness::prelude::*;
@@ -52,7 +55,7 @@ pub mod prelude {
         check_translation, check_write_amplification, CheckResult, ContentModel, WriteLedger,
     };
     pub use crate::plan::{Fault, FaultPlan, PlanConfig, PlannedFault};
-    pub use crate::retry::{access_with_retry, is_retryable, retry, RetryOutcome, RetryPolicy};
+    pub use crate::retry::{is_retryable, RetryPolicy};
     pub use crate::scenario::{run_scenario, ChaosReport, Scenario};
     pub use crate::trace::ChaosTrace;
 }

@@ -9,7 +9,6 @@
 //! permanent ones that must surface immediately.
 
 use lmp_core::prelude::*;
-use lmp_fabric::{Fabric, MemOp, NodeId};
 use lmp_sim::prelude::*;
 
 /// When and how often to retry a failed pool operation.
@@ -65,112 +64,10 @@ pub fn is_retryable(err: &PoolError) -> bool {
     )
 }
 
-/// Terminal outcome of a retried operation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RetryOutcome<T> {
-    /// An attempt succeeded.
-    Ok {
-        /// The successful attempt's result.
-        value: T,
-        /// Attempts consumed, including the successful one.
-        attempts: u32,
-    },
-    /// Every permitted attempt failed with a transient error.
-    GaveUp {
-        /// Attempts consumed.
-        attempts: u32,
-        /// The final transient error.
-        last: PoolError,
-        /// When the final attempt failed.
-        at: SimTime,
-    },
-}
-
-impl<T> RetryOutcome<T> {
-    /// Whether the operation ultimately succeeded.
-    pub fn succeeded(&self) -> bool {
-        matches!(self, RetryOutcome::Ok { .. })
-    }
-}
-
-/// Drive `attempt(now, attempt_index)` under `policy`, advancing simulated
-/// time by the backoff between attempts. Non-retryable errors surface as
-/// `Err` immediately; transient exhaustion becomes [`RetryOutcome::GaveUp`].
-///
-/// The closure receives the simulated start time of each attempt, so
-/// callers that interleave recovery (the chaos scenarios drive retries
-/// through engine events instead) can also use this synchronous form when
-/// the world does not change underneath them.
-pub fn retry<T, F>(
-    policy: &RetryPolicy,
-    issued: SimTime,
-    mut attempt: F,
-) -> Result<RetryOutcome<T>, PoolError>
-where
-    F: FnMut(SimTime, u32) -> Result<T, PoolError>,
-{
-    // lmp-lint: allow(no-panic) — policy precondition: zero attempts means the
-    // operation can never run; a configuration bug.
-    assert!(policy.max_attempts >= 1, "policy allows no attempts");
-    let mut now = issued;
-    let mut n = 0;
-    loop {
-        match attempt(now, n) {
-            Ok(value) => {
-                return Ok(RetryOutcome::Ok {
-                    value,
-                    attempts: n + 1,
-                })
-            }
-            Err(e) if !is_retryable(&e) => return Err(e),
-            Err(e) => {
-                if !policy.may_retry(issued, now, n) {
-                    return Ok(RetryOutcome::GaveUp {
-                        attempts: n + 1,
-                        last: e,
-                        at: now,
-                    });
-                }
-                now += policy.backoff_after(n);
-                n += 1;
-            }
-        }
-    }
-}
-
-/// Convenience: a timed pool access with retries.
-#[allow(clippy::too_many_arguments)]
-pub fn access_with_retry(
-    policy: &RetryPolicy,
-    pool: &mut LogicalPool,
-    fabric: &mut Fabric,
-    now: SimTime,
-    requester: NodeId,
-    addr: LogicalAddr,
-    len: u64,
-    op: MemOp,
-) -> Result<RetryOutcome<PoolAccess>, PoolError> {
-    retry(policy, now, |t, _| {
-        pool.access(fabric, t, requester, addr, len, op)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmp_fabric::LinkProfile;
-    use lmp_mem::{DramProfile, FRAME_BYTES};
-
-    fn world() -> (LogicalPool, Fabric) {
-        let cfg = PoolConfig {
-            servers: 3,
-            capacity_per_server: 16 * FRAME_BYTES,
-            shared_per_server: 12 * FRAME_BYTES,
-            dram: DramProfile::xeon_gold_5120(),
-            tlb_capacity: 8,
-        };
-        (LogicalPool::new(cfg), Fabric::new(LinkProfile::link1(), 3))
-    }
+    use lmp_fabric::NodeId;
 
     #[test]
     fn backoff_is_exponential() {
@@ -181,101 +78,43 @@ mod tests {
     }
 
     #[test]
-    fn first_try_success_uses_one_attempt() {
-        let (mut pool, mut fabric) = world();
-        let seg = pool.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
-        let out = access_with_retry(
-            &RetryPolicy::default_chaos(),
-            &mut pool,
-            &mut fabric,
-            SimTime::ZERO,
-            NodeId(0),
-            LogicalAddr::new(seg, 0),
-            64,
-            MemOp::Read,
-        )
-        .unwrap();
-        assert!(matches!(out, RetryOutcome::Ok { attempts: 1, .. }));
+    fn attempts_cap_retries() {
+        let p = RetryPolicy::default_chaos();
+        // 6 attempts: retries follow attempts 0–4, none follows attempt 5.
+        assert!(p.may_retry(SimTime::ZERO, SimTime::ZERO, 4));
+        assert!(!p.may_retry(SimTime::ZERO, SimTime::ZERO, 5));
     }
 
     #[test]
-    fn permanent_errors_surface_immediately() {
-        let (mut pool, mut fabric) = world();
-        let r = access_with_retry(
-            &RetryPolicy::default_chaos(),
-            &mut pool,
-            &mut fabric,
-            SimTime::ZERO,
-            NodeId(0),
-            LogicalAddr::new(SegmentId(99), 0),
-            64,
-            MemOp::Read,
-        );
-        assert!(matches!(r, Err(PoolError::UnknownSegment(_))));
-    }
-
-    #[test]
-    fn transient_error_exhausts_with_gave_up() {
-        let (mut pool, mut fabric) = world();
-        let seg = pool.alloc(FRAME_BYTES, Placement::On(NodeId(2))).unwrap();
-        pool.crash_server(NodeId(2));
-        let out = access_with_retry(
-            &RetryPolicy::default_chaos(),
-            &mut pool,
-            &mut fabric,
-            SimTime::ZERO,
-            NodeId(0),
-            LogicalAddr::new(seg, 0),
-            64,
-            MemOp::Read,
-        )
-        .unwrap();
-        match out {
-            RetryOutcome::GaveUp { attempts, last, at } => {
-                assert_eq!(attempts, 6);
-                assert_eq!(last, PoolError::SegmentLost(seg));
-                // 200+400+800+1600+3200 ns of backoff elapsed.
-                assert_eq!(at.as_nanos(), 6200);
-            }
-            other => panic!("expected GaveUp, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn retry_succeeds_once_condition_clears() {
-        let policy = RetryPolicy::default_chaos();
-        let mut failures_left = 3;
-        let out = retry(&policy, SimTime::ZERO, |_, _| {
-            if failures_left > 0 {
-                failures_left -= 1;
-                Err(PoolError::ServerDown(NodeId(1)))
-            } else {
-                Ok(42u32)
-            }
-        })
-        .unwrap();
-        assert_eq!(
-            out,
-            RetryOutcome::Ok {
-                value: 42,
-                attempts: 4
-            }
-        );
-    }
-
-    #[test]
-    fn timeout_caps_attempts() {
+    fn timeout_caps_retries() {
         let policy = RetryPolicy {
             max_attempts: 100,
             base_backoff: SimDuration::from_nanos(1000),
             timeout: SimDuration::from_nanos(2500),
         };
-        let out = retry::<(), _>(&policy, SimTime::ZERO, |_, _| {
-            Err(PoolError::ServerDown(NodeId(0)))
-        })
-        .unwrap();
-        // Attempt 0 at t=0, attempt 1 at t=1000; next would start at
+        // Attempt 0 fails at t=0: attempt 1 would start at t=1000, inside
+        // the budget. Attempt 1 fails at t=1000: attempt 2 would start at
         // t=3000 > 2500, so only 2 attempts run.
-        assert!(matches!(out, RetryOutcome::GaveUp { attempts: 2, .. }));
+        assert!(policy.may_retry(SimTime::ZERO, SimTime::ZERO, 0));
+        assert!(!policy.may_retry(SimTime::ZERO, SimTime::from_nanos(1000), 1));
+    }
+
+    #[test]
+    fn transient_errors_retry_and_permanent_ones_surface() {
+        let seg = SegmentId(3);
+        assert!(is_retryable(&PoolError::SegmentLost(seg)));
+        assert!(is_retryable(&PoolError::ServerDown(NodeId(1))));
+        assert!(is_retryable(&PoolError::AdmissionRejected(TenantId(2))));
+        assert!(!is_retryable(&PoolError::UnknownSegment(seg)));
+        let oob = PoolError::OutOfBounds {
+            segment: seg,
+            end: 65,
+            len: 64,
+        };
+        assert!(!is_retryable(&oob));
+        let full = PoolError::Capacity {
+            requested_frames: 4,
+        };
+        assert!(!is_retryable(&full));
     }
 }

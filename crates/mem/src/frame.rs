@@ -123,11 +123,6 @@ impl FrameAllocator {
         }
     }
 
-    /// Build sized in bytes, rounding **down** to whole frames.
-    pub fn with_capacity_bytes(bytes: u64) -> Self {
-        Self::new(bytes / FRAME_BYTES)
-    }
-
     /// Total frames managed.
     pub fn total(&self) -> u64 {
         self.total
@@ -225,12 +220,6 @@ mod tests {
         let got = a.alloc_many(3).unwrap();
         assert_eq!(got.len(), 3);
         assert_eq!(a.free_count(), 0);
-    }
-
-    #[test]
-    fn capacity_bytes_rounds_down() {
-        let a = FrameAllocator::with_capacity_bytes(5 * FRAME_BYTES - 1);
-        assert_eq!(a.total(), 4);
     }
 
     #[test]

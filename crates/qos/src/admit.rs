@@ -111,11 +111,6 @@ impl AdmissionController {
         self.buckets.insert(tenant, TokenBucket::new(rate));
     }
 
-    /// Whether `tenant` has a configured limit.
-    pub fn is_limited(&self, tenant: TenantId) -> bool {
-        self.buckets.contains_key(&tenant)
-    }
-
     /// Admit `tokens` ops from `tenant` at `now`. Unlimited tenants are
     /// always admitted; limited tenants consume from their bucket.
     pub fn admit(&mut self, now: SimTime, tenant: TenantId, tokens: u64) -> bool {

@@ -145,12 +145,6 @@ impl<E> Engine<E> {
         self.queue.push(self.now + delay, event)
     }
 
-    /// Schedule `event` at the current instant (fires after all events
-    /// already scheduled for `now`, preserving FIFO order).
-    pub fn schedule_now(&mut self, event: E) -> EventId {
-        self.queue.push(self.now, event)
-    }
-
     /// Cancel a pending event; returns whether it was still pending.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
@@ -174,33 +168,6 @@ impl<E> Engine<E> {
     /// Run until the queue drains.
     pub fn run<F: FnMut(&mut Engine<E>, E)>(&mut self, mut handler: F) {
         while self.step(&mut handler) {}
-    }
-
-    /// Run until the queue drains or the clock would pass `deadline`.
-    /// Events scheduled strictly after `deadline` stay pending; the clock is
-    /// left at the last delivered event (or `deadline` if nothing fired late).
-    pub fn run_until<F: FnMut(&mut Engine<E>, E)>(&mut self, deadline: SimTime, mut handler: F) {
-        loop {
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.step(&mut handler);
-                }
-                _ => break,
-            }
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-    }
-
-    /// Run until `stop` returns true (checked after each event) or the queue
-    /// drains. Useful for "run until this request completes" patterns.
-    pub fn run_while<F, P>(&mut self, mut handler: F, mut keep_going: P)
-    where
-        F: FnMut(&mut Engine<E>, E),
-        P: FnMut(&Engine<E>) -> bool,
-    {
-        while keep_going(self) && self.step(&mut handler) {}
     }
 }
 
@@ -230,7 +197,8 @@ mod tests {
     #[test]
     fn handler_can_chain_events() {
         let mut eng = Engine::new();
-        eng.schedule_now(Ev::Tick(0));
+        eng.schedule_at(SimTime::ZERO, Ev::Tick(0))
+            .expect("future schedule");
         let mut count = 0u32;
         eng.run(|eng, Ev::Tick(n)| {
             count += 1;
@@ -240,20 +208,6 @@ mod tests {
         });
         assert_eq!(count, 10);
         assert_eq!(eng.now().as_nanos(), 9);
-    }
-
-    #[test]
-    fn run_until_leaves_future_events_pending() {
-        let mut eng = Engine::new();
-        eng.schedule_at(SimTime::from_nanos(5), Ev::Tick(1))
-            .expect("future schedule");
-        eng.schedule_at(SimTime::from_nanos(50), Ev::Tick(2))
-            .expect("future schedule");
-        let mut fired = Vec::new();
-        eng.run_until(SimTime::from_nanos(10), |_, Ev::Tick(n)| fired.push(n));
-        assert_eq!(fired, [1]);
-        assert_eq!(eng.pending(), 1);
-        assert_eq!(eng.now().as_nanos(), 10);
     }
 
     #[test]
@@ -328,18 +282,5 @@ mod tests {
         let mut fired = Vec::new();
         eng.run(|_, Ev::Tick(n)| fired.push(n));
         assert_eq!(fired, [2]);
-    }
-
-    #[test]
-    fn run_while_stops_on_predicate() {
-        let mut eng = Engine::new();
-        for i in 0..100 {
-            eng.schedule_at(SimTime::from_nanos(i), Ev::Tick(i as u32))
-                .expect("future schedule");
-        }
-        let mut fired = 0;
-        eng.run_while(|_, _| fired += 1, |e| e.events_processed() < 10);
-        assert_eq!(fired, 10);
-        assert_eq!(eng.pending(), 90);
     }
 }
