@@ -15,6 +15,8 @@
 
 use lmp_compute::operator::reference;
 use lmp_compute::{OpOutput, Operator, Predicate, ReduceOp};
+use lmp_core::prelude::*;
+use lmp_mem::{DramProfile, FRAME_BYTES};
 use proptest::prelude::*;
 
 /// Value ranges: the full `u64` range (0), or values modulo a small
@@ -164,6 +166,42 @@ fn edge_stripes_match_the_reference() {
         for order in 0..3 {
             check(stripes, 0, order, 100, 0xf0);
             check(stripes, 3, order, 100, 0x3);
+        }
+    }
+}
+
+/// A stripe read from the pool whose frame was written only in its first
+/// 100 bytes: the read yields the frame's one-page prefix and then zeros,
+/// and every operator folds it to the reference's result over the
+/// zero-padded bytes, whether the stripe ends inside the prefix, just
+/// past it, further into the zeros, or on the frame's end.
+#[test]
+fn sparse_frame_folds_like_its_zero_padded_bytes() {
+    let mut pool = LogicalPool::new(PoolConfig {
+        servers: 2,
+        capacity_per_server: 4 * FRAME_BYTES,
+        shared_per_server: 2 * FRAME_BYTES,
+        dram: DramProfile::xeon_gold_5120(),
+        tlb_capacity: 64,
+    });
+    let seg = pool
+        .alloc(FRAME_BYTES, Placement::On(lmp_fabric::NodeId(1)))
+        .unwrap();
+    let written: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+    pool.write_bytes(LogicalAddr::new(seg, 0), &written)
+        .unwrap();
+    for len in [100, 4096 + 13, 40_003, FRAME_BYTES as usize] {
+        let mut padded = vec![0u8; len];
+        padded[..100].copy_from_slice(&written);
+        for op in operators(0x3c, 0xff, 0, len / 8) {
+            let runs = pool
+                .read_runs(LogicalAddr::new(seg, 0), len as u64)
+                .unwrap();
+            assert_eq!(
+                op.fold(runs),
+                reference::execute(&op, &padded),
+                "{op:?} over {len} bytes"
+            );
         }
     }
 }

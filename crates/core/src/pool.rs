@@ -1020,10 +1020,12 @@ impl LogicalPool {
     /// runs in address order, borrowed from the holder's frames without a
     /// copy. Bounds, the segment, the holder's liveness and every frame are
     /// checked before the first run exists, so a read that fails yields
-    /// nothing. Unmaterialized frames read as zeros, lent in pieces of at
-    /// most 4 KiB. Runs start on the read's start and on frame boundaries
-    /// after it, so a read at an 8-aligned offset yields runs of whole
-    /// u64 elements except for a short tail at its end.
+    /// nothing. A frame's bytes past its written prefix, and all of an
+    /// unmaterialized frame, read as zeros, lent in pieces of at most
+    /// 4 KiB. Runs start on the read's start, on frame boundaries and on
+    /// the page boundary that ends a frame's prefix, so a read at an
+    /// 8-aligned offset yields runs of whole u64 elements except for a
+    /// short tail at its end.
     pub fn read_runs(&self, addr: LogicalAddr, len: u64) -> Result<ReadRuns<'_>, PoolError> {
         let loc = self.check_bounds(addr, len)?;
         let node = &self.nodes[loc.server.0 as usize];
@@ -1241,7 +1243,7 @@ impl LogicalPool {
     }
 }
 
-/// Zeros lent out for unmaterialized frames.
+/// Zeros lent out for the unwritten bytes of frames.
 static ZEROS: [u8; 4096] = [0; 4096];
 
 /// The runs of one checked read, from [`LogicalPool::read_runs`].
@@ -1254,7 +1256,8 @@ pub struct ReadRuns<'a> {
     within: usize,
     /// Bytes of frames not yet visited.
     left: usize,
-    /// Zero bytes still owed from the unmaterialized frame being visited.
+    /// Zero bytes still owed from the frame being visited: its bytes past
+    /// the written prefix, or all of them while it is unmaterialized.
     zeros: usize,
 }
 
@@ -1267,9 +1270,15 @@ impl<'a> Iterator for ReadRuns<'a> {
             let within = std::mem::take(&mut self.within);
             let chunk = self.left.min(FRAME_BYTES as usize - within);
             self.left -= chunk;
-            match self.node.frame_bytes(frame) {
-                Some(backing) => return Some(&backing[within..within + chunk]),
-                None => self.zeros = chunk,
+            let written = self
+                .node
+                .frame_bytes(frame)
+                .and_then(|p| p.get(within..))
+                .unwrap_or(&[]);
+            let run = &written[..chunk.min(written.len())];
+            self.zeros = chunk - run.len();
+            if !run.is_empty() {
+                return Some(run);
             }
         }
         let n = self.zeros.min(ZEROS.len());
@@ -1446,11 +1455,14 @@ mod tests {
     fn borrowed_read_equals_read_bytes() {
         let (mut p, _) = small_pool();
         let seg = p.alloc(3 * FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
-        // Frames 0 and 1 hold data; frame 2 is never written.
+        // Frames 0 and 1 hold data; frame 2 is never written. Frame 1 is
+        // written only in its first page.
         let fill: Vec<u8> = (0..64u8).collect();
         p.write_bytes(LogicalAddr::new(seg, FRAME_BYTES - 32), &fill)
             .unwrap();
         p.write_bytes(LogicalAddr::new(seg, 5), b"head").unwrap();
+        p.write_bytes(LogicalAddr::new(seg, FRAME_BYTES + 4088), b"pagetail")
+            .unwrap();
         let concat = |addr: LogicalAddr, len: u64| -> (Vec<u8>, Vec<usize>) {
             let runs: Vec<&[u8]> = p.read_runs(addr, len).unwrap().collect();
             (runs.concat(), runs.iter().map(|r| r.len()).collect())
@@ -1461,6 +1473,14 @@ mod tests {
         assert_eq!(bytes, p.read_bytes(addr, 80).unwrap());
         assert_eq!(&bytes[8..72], &fill[..]);
         assert_eq!(lens, vec![40, 40]);
+        // Across the end of frame 1's written prefix: the prefix, then
+        // zeros.
+        let addr = LogicalAddr::new(seg, FRAME_BYTES + 4096 - 24);
+        let (bytes, lens) = concat(addr, 100);
+        assert_eq!(bytes, p.read_bytes(addr, 100).unwrap());
+        assert_eq!(&bytes[16..24], b"pagetail");
+        assert!(bytes[..16].iter().chain(&bytes[24..]).all(|&b| b == 0));
+        assert_eq!(lens, vec![24, 76]);
         // Into and across the unmaterialized frame: zeros, in pieces no
         // larger than the static zero buffer, never crossing a frame.
         let addr = LogicalAddr::new(seg, 2 * FRAME_BYTES - 100);
@@ -1470,9 +1490,18 @@ mod tests {
         assert_eq!(lens, vec![100, 4096, 4096, 1708]);
         // The whole segment, and an empty read.
         let whole = LogicalAddr::new(seg, 0);
-        let (bytes, _) = concat(whole, 3 * FRAME_BYTES);
+        let (bytes, lens) = concat(whole, 3 * FRAME_BYTES);
         assert_eq!(bytes, p.read_bytes(whole, 3 * FRAME_BYTES).unwrap());
-        assert_eq!(&bytes[5..9], b"head");
+        let mut want = vec![0u8; 3 * FRAME_BYTES as usize];
+        want[5..9].copy_from_slice(b"head");
+        let f = FRAME_BYTES as usize;
+        want[f - 32..f + 32].copy_from_slice(&fill);
+        want[f + 4088..f + 4096].copy_from_slice(b"pagetail");
+        assert!(bytes == want, "prefixes, then zeros");
+        // Whole elements everywhere: frame 0 is backed whole, frame 1's
+        // prefix is one page, and the zeros come in 4 KiB pieces.
+        assert!(lens.iter().all(|n| n % 8 == 0));
+        assert_eq!(&lens[..3], &[f, 4096, 4096]);
         assert_eq!(p.read_runs(LogicalAddr::new(seg, 7), 0).unwrap().count(), 0);
     }
 

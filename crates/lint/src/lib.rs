@@ -48,9 +48,8 @@
 //!
 //! R2/R3 used to be driven by hand-maintained file lists that every PR
 //! had to extend — a forgotten enrollment was a *silent* coverage gap.
-//! The lists survive only as [`transition`] baselines: CI asserts the
-//! inferred sets are supersets of them, so inference can never regress
-//! below the coverage the lists had.
+//! Inference was checked to cover every file on those lists before they
+//! were deleted.
 //!
 //! [`TelemetrySnapshot`]: ../lmp_telemetry/struct.TelemetrySnapshot.html
 
@@ -62,82 +61,7 @@ mod scan;
 pub use reach::{analyze, analyze_files, Analysis};
 pub use scan::{scan_source, FileClass, Finding, Rule};
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-
-/// The frozen hand-maintained R2/R3 file lists the call-graph analysis
-/// replaced. They are **not** consulted for classification any more; they
-/// exist only as the transition baseline: [`check_superset`] (run in CI)
-/// fails if the inferred sets ever stop covering them.
-pub mod transition {
-    /// Last hand-maintained R2 (digest-path) list, frozen at PR 9.
-    pub const LEGACY_R2_FILES: &[&str] = &[
-        // Snapshot & digest construction.
-        "crates/telemetry/src/registry.rs",
-        "crates/telemetry/src/snapshot.rs",
-        "crates/telemetry/src/span.rs",
-        "crates/harness/src/trace.rs",
-        "crates/harness/src/invariants.rs",
-        "crates/harness/src/scenario.rs",
-        // Fault plans.
-        "crates/harness/src/plan.rs",
-        // Migration / balancing / sizing decisions and their inputs.
-        "crates/core/src/balance.rs",
-        "crates/core/src/migrate.rs",
-        "crates/core/src/controller.rs",
-        "crates/core/src/sizing.rs",
-        "crates/core/src/observe.rs",
-        "crates/core/src/translate.rs",
-        "crates/core/src/pool.rs",
-        "crates/core/src/failure.rs",
-        "crates/core/src/heal.rs",
-        "crates/core/src/health.rs",
-        "crates/core/src/placement.rs",
-        "crates/mem/src/hotness.rs",
-        "crates/mem/src/node.rs",
-        // Exporters that feed the rack snapshot.
-        "crates/fabric/src/fabric.rs",
-        "crates/fabric/src/link.rs",
-        "crates/coherence/src/region.rs",
-        "crates/coherence/src/directory.rs",
-        "crates/coherence/src/filter.rs",
-        // Deterministic event ordering.
-        "crates/sim/src/queue.rs",
-        "crates/sim/src/calendar.rs",
-        // QoS decisions: admission verdicts, band service order, and hedge
-        // deadlines all feed digest-bearing traces.
-        "crates/qos/src/admit.rs",
-        "crates/qos/src/band.rs",
-        "crates/core/src/hedge.rs",
-        // Pushdown planning: per-segment ship-vs-fetch choices and holder
-        // grouping feed the bench digests; iteration order must be stable.
-        "crates/compute/src/ship.rs",
-        "crates/compute/src/scan.rs",
-        "crates/compute/src/planner.rs",
-        "crates/compute/src/operator.rs",
-    ];
-
-    /// Last hand-maintained R3 (recoverable-module) list, frozen at PR 9.
-    pub const LEGACY_R3_FILES: &[&str] = &[
-        "crates/core/src/pool.rs",
-        "crates/core/src/failure.rs",
-        "crates/core/src/heal.rs",
-        "crates/core/src/migrate.rs",
-        "crates/core/src/placement.rs",
-        "crates/fabric/src/fabric.rs",
-        "crates/fabric/src/link.rs",
-        "crates/mem/src/node.rs",
-        "crates/qos/src/admit.rs",
-        "crates/qos/src/band.rs",
-        "crates/core/src/hedge.rs",
-        "crates/sim/src/calendar.rs",
-        "crates/sim/src/engine.rs",
-        "crates/compute/src/ship.rs",
-        "crates/compute/src/scan.rs",
-        "crates/compute/src/planner.rs",
-        "crates/compute/src/operator.rs",
-    ];
-}
 
 /// Bounds/translation arithmetic files (rule R4): every `+`/`-`/`*` on an
 /// offset or length here must be `checked_*`/`saturating_*` — a wrap in
@@ -162,27 +86,6 @@ pub fn classify(path: &Path) -> FileClass {
         recoverable: false,
         arith_path: suffix_match(R4_ARITH_FILES),
     }
-}
-
-/// Check the transition superset gate: every file on the legacy R2/R3
-/// lists must be covered by the inferred sets. Returns the violations
-/// (empty means the gate passes).
-pub fn check_superset(analysis: &Analysis) -> Vec<String> {
-    let covered = |set: &BTreeSet<String>, legacy: &str| {
-        set.iter().any(|f| f.ends_with(legacy) || f == legacy)
-    };
-    let mut missing = Vec::new();
-    for f in transition::LEGACY_R2_FILES {
-        if !covered(&analysis.r2_files, f) {
-            missing.push(format!("R2 coverage lost: {f} (was on the hand list)"));
-        }
-    }
-    for f in transition::LEGACY_R3_FILES {
-        if !covered(&analysis.r3_files, f) {
-            missing.push(format!("R3 coverage lost: {f} (was on the hand list)"));
-        }
-    }
-    missing
 }
 
 /// Walk the workspace rooted at `root` and return every `.rs` file the

@@ -1,28 +1,22 @@
 //! CLI entry point:
-//! `lmp-lint [--workspace] [--format text|json] [--explain] [--check-superset] [paths…]`.
+//! `lmp-lint [--workspace] [--format text|json] [--explain] [paths…]`.
 //!
 //! `--workspace` runs the full call-graph analysis (R1–R7) over the
 //! workspace under the current directory; explicit paths run the
 //! file-local rules only (R1, R4, R5). `--explain` prints the
-//! seed-to-site call chain under each graph finding; `--check-superset`
-//! additionally enforces the transition gate (inferred R2/R3 coverage
-//! must contain every file from the frozen hand lists).
+//! seed-to-site call chain under each graph finding.
 //!
-//! Exit status: 0 when clean, 1 on any finding or superset violation,
-//! 2 on usage/IO errors.
+//! Exit status: 0 when clean, 1 on any finding, 2 on usage/IO errors.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use lmp_lint::{
-    analyze_files, check_superset, scan_path, to_json, workspace_sources, Finding,
-};
+use lmp_lint::{analyze_files, scan_path, to_json, workspace_sources, Finding};
 
 struct Args {
     workspace: bool,
     json: bool,
     explain: bool,
-    superset: bool,
     paths: Vec<PathBuf>,
 }
 
@@ -31,7 +25,6 @@ fn parse_args() -> Result<Args, String> {
         workspace: false,
         json: false,
         explain: false,
-        superset: false,
         paths: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -39,7 +32,6 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--workspace" => args.workspace = true,
             "--explain" => args.explain = true,
-            "--check-superset" => args.superset = true,
             "--format" => match it.next().as_deref() {
                 Some("json") => args.json = true,
                 Some("text") => args.json = false,
@@ -52,17 +44,15 @@ fn parse_args() -> Result<Args, String> {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: lmp-lint [--workspace] [--format text|json] [--explain]\n\
-                     \x20               [--check-superset] [paths…]\n\
+                    "usage: lmp-lint [--workspace] [--format text|json] [--explain] [paths…]\n\
                      \n\
                      Scans Rust sources for the workspace determinism rules.\n\
                      With --workspace, builds the cross-file call graph and runs\n\
                      the full rule set (wall-clock, unordered-iter, no-panic,\n\
                      unchecked-arith, swallowed-error, eager-metric, plus the\n\
                      allow-suppression rules); explicit paths run the file-local\n\
-                     rules only. --explain prints seed-to-site call chains;\n\
-                     --check-superset enforces the transition gate against the\n\
-                     frozen hand lists. Exits 1 on any finding."
+                     rules only. --explain prints seed-to-site call chains.\n\
+                     Exits 1 on any finding."
                 );
                 std::process::exit(0);
             }
@@ -72,9 +62,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if !args.workspace && args.paths.is_empty() {
         return Err("nothing to scan: pass --workspace or explicit paths".to_string());
-    }
-    if args.superset && !args.workspace {
-        return Err("--check-superset requires --workspace".to_string());
     }
     Ok(args)
 }
@@ -91,7 +78,6 @@ fn main() -> ExitCode {
     let root = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     let mut findings: Vec<Finding> = Vec::new();
     let mut scanned = 0usize;
-    let mut superset_violations: Vec<String> = Vec::new();
 
     if args.workspace {
         let files = match workspace_sources(&root) {
@@ -109,9 +95,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        if args.superset {
-            superset_violations = check_superset(&analysis);
-        }
         findings.extend(analysis.findings);
     }
 
@@ -165,11 +148,8 @@ fn main() -> ExitCode {
             );
         }
     }
-    for v in &superset_violations {
-        eprintln!("lmp-lint: superset gate: {v}");
-    }
 
-    if findings.is_empty() && superset_violations.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

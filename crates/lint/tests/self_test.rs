@@ -8,8 +8,7 @@
 use std::path::Path;
 
 use lmp_lint::{
-    analyze_files, check_superset, classify, scan_source, to_json, transition,
-    workspace_sources, FileClass, Rule,
+    analyze_files, classify, scan_source, to_json, workspace_sources, FileClass, Rule,
 };
 
 fn fixture(name: &str) -> String {
@@ -145,39 +144,13 @@ fn json_output_is_well_formed_per_finding() {
 #[test]
 fn classify_no_longer_hand_designates_r2_r3() {
     // R2/R3 coverage is inferred from the call graph now; `classify`
-    // only keeps the R4 arithmetic designation. The old hand lists
-    // survive solely as the frozen transition baseline.
+    // only keeps the R4 arithmetic designation.
     let pool = classify(Path::new("crates/core/src/pool.rs"));
     assert!(!pool.recoverable && !pool.digest_path && !pool.arith_path);
     let addr = classify(Path::new("/abs/prefix/crates/core/src/addr.rs"));
     assert!(addr.arith_path && !addr.recoverable && !addr.digest_path);
     let kv = classify(Path::new("crates/workloads/src/kv.rs"));
     assert_eq!(kv, FileClass::default());
-    assert!(transition::LEGACY_R2_FILES.contains(&"crates/core/src/pool.rs"));
-    assert!(transition::LEGACY_R3_FILES.contains(&"crates/core/src/pool.rs"));
-}
-
-#[test]
-fn inferred_coverage_is_a_superset_of_the_frozen_hand_lists() {
-    // The transition gate on the real workspace: every file the hand
-    // lists designated must be rediscovered by seed/sink inference.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let files = workspace_sources(&root).expect("walk workspace");
-    let analysis = analyze_files(&root, &files).expect("read workspace sources");
-    let violations = check_superset(&analysis);
-    assert!(
-        violations.is_empty(),
-        "inferred coverage lost hand-list files:\n{}",
-        violations.join("\n")
-    );
-    // Strictly wider, not merely equal: inference reaches files the
-    // hand lists never enrolled.
-    assert!(
-        analysis.r3_files.len() > transition::LEGACY_R3_FILES.len(),
-        "inferred R3 set ({}) should exceed the {}-entry hand list",
-        analysis.r3_files.len(),
-        transition::LEGACY_R3_FILES.len()
-    );
 }
 
 #[test]

@@ -182,9 +182,11 @@ impl MemoryNode {
         self.store.write(frame, offset, data);
     }
 
-    /// Borrow the materialized contents of `frame` (`FRAME_BYTES` long), or
-    /// `None` while it is unmaterialized and reads as zeros. Upper layers
-    /// gate on allocation and on [`Self::is_failed`] first.
+    /// Borrow the written prefix of `frame`, or `None` while it is
+    /// unmaterialized and reads as zeros. The prefix may be shorter than
+    /// `FRAME_BYTES`: it ends on a 4 KiB page boundary, and every byte past
+    /// it reads as zero. Upper layers gate on allocation and on
+    /// [`Self::is_failed`] first.
     pub fn frame_bytes(&self, frame: FrameId) -> Option<&[u8]> {
         self.store.get(frame)
     }

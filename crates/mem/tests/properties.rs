@@ -303,43 +303,54 @@ proptest! {
     }
 
     /// FrameStore writes are exact: reading back any written range returns
-    /// the written bytes; untouched bytes read as zero.
+    /// the written bytes; untouched bytes read as zero, inside the written
+    /// prefix and past it. The prefix ends at the furthest write's end
+    /// rounded up to a page, for writes near the frame's start and far
+    /// past its mark alike.
     #[test]
     fn store_read_your_writes(
         writes in proptest::collection::vec(
-            (0u64..4096, proptest::collection::vec(any::<u8>(), 1..64)),
+            (any::<bool>(), 0u64..4096, proptest::collection::vec(any::<u8>(), 1..64)),
             1..40,
         ),
     ) {
         let mut s = FrameStore::new();
-        let mut model = vec![0u8; 8192];
-        for (off, data) in &writes {
-            s.write(FrameId(0), *off, data);
-            model[*off as usize..*off as usize + data.len()].copy_from_slice(data);
+        let mut model = vec![0u8; FRAME_BYTES as usize];
+        let mut mark = 0;
+        for (far, off, data) in &writes {
+            // A far write lands anywhere but the frame's last 4.5 KiB.
+            let off = if *far { off * 511 } else { *off };
+            s.write(FrameId(0), off, data);
+            let (at, end) = (off as usize, off as usize + data.len());
+            model[at..end].copy_from_slice(data);
+            mark = mark.max(end.div_ceil(PAGE) * PAGE);
         }
-        let got = s.get(FrameId(0)).map(|b| &b[..model.len()]);
-        prop_assert_eq!(got, Some(&model[..]));
+        let prefix = s.get(FrameId(0)).unwrap();
+        prop_assert_eq!(prefix.len(), mark);
+        prop_assert_eq!(zero_extended(prefix, 0, model.len()), model);
     }
 
     /// The frame-indexed store holds the same bytes as its ordered-tree
     /// model under writes, moves and discards, for frame ids on both sides
-    /// of the table's growth boundary and far apart.
+    /// of the table's growth boundary and far apart. Reads see the written
+    /// prefix and then zeros, near either end of the frame, in its middle
+    /// and across the prefix's end.
     #[test]
     fn store_matches_tree_model(
         ops in proptest::collection::vec(
-            (0u8..4, 0usize..2, 0..STORE_IDS.len(), 0..STORE_IDS.len(), any::<bool>(),
+            (0u8..4, 0usize..2, 0..STORE_IDS.len(), 0..STORE_IDS.len(), 0u64..3,
              proptest::collection::vec(any::<u8>(), 1..16)),
             1..40,
         ),
     ) {
         let mut stores = [FrameStore::new(), FrameStore::new()];
         let mut models = [TreeStore::default(), TreeStore::default()];
-        for (kind, side, a, b, tail, data) in ops {
+        for (kind, side, a, b, at, data) in ops {
             let (fa, fb) = (FrameId(STORE_IDS[a]), FrameId(STORE_IDS[b]));
             match kind {
                 0 | 1 => {
-                    // Near either end of the frame, so a window check sees it.
-                    let off = if tail { FRAME_BYTES - WINDOW } else { 0 } + (b as u64);
+                    // Inside one of the checked windows, so a check sees it.
+                    let off = WINDOWS[at as usize] + (b as u64);
                     stores[side].write(fa, off, &data);
                     models[side].write(fa, off, &data);
                 }
@@ -364,11 +375,16 @@ proptest! {
                 for id in STORE_IDS.into_iter().chain([u64::MAX]) {
                     let (got, want) = (s.get(FrameId(id)), m.frames.get(&FrameId(id)));
                     prop_assert_eq!(got.is_some(), want.is_some());
-                    if let (Some(got), Some(want)) = (got, want) {
-                        prop_assert_eq!(got.len(), want.len());
+                    if let (Some(got), Some((want, mark))) = (got, want) {
+                        prop_assert_eq!(got.len(), *mark);
                         let w = WINDOW as usize;
-                        prop_assert_eq!(&got[..w], &want[..w]);
-                        prop_assert_eq!(&got[got.len() - w..], &want[want.len() - w..]);
+                        let across = mark.saturating_sub(w).min(want.len() - 2 * w);
+                        for start in WINDOWS.map(|o| o as usize).into_iter().chain([across]) {
+                            prop_assert_eq!(
+                                zero_extended(got, start, 2 * w),
+                                &want[start..start + 2 * w]
+                            );
+                        }
                     }
                 }
             }
@@ -376,25 +392,46 @@ proptest! {
     }
 }
 
+/// The store's page: every written prefix ends on a multiple of it.
+const PAGE: usize = 4096;
+
+/// `len` bytes at `offset` of a frame whose written prefix is `prefix`, as
+/// a reader sees them: the prefix, then zeros.
+fn zero_extended(prefix: &[u8], offset: usize, len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; len];
+    let src = prefix.get(offset..).unwrap_or(&[]);
+    let n = src.len().min(len);
+    out[..n].copy_from_slice(&src[..n]);
+    out
+}
+
 /// Frame ids around the store's growth boundaries, plus far ones.
 const STORE_IDS: [u64; 8] = [0, 1, 3, 7, 8, 63, 64, 30_000];
 
-/// Bytes compared at each end of a frame; every write lands inside them.
+/// Half a checked window's width: every write lands in a window's first
+/// half.
 const WINDOW: u64 = 64;
 
-/// The store as the ordered tree it used to be, kept as a model.
+/// Where the checked windows start: the frame's first bytes, the middle of
+/// the frame (far past a front write's mark) and its last bytes.
+const WINDOWS: [u64; 3] = [0, FRAME_BYTES / 2, FRAME_BYTES - 2 * WINDOW];
+
+/// The store as the ordered tree of whole zero-filled frames it used to
+/// be, plus each frame's page-rounded high-water mark, kept as a model.
 #[derive(Default)]
 struct TreeStore {
-    frames: BTreeMap<FrameId, Box<[u8]>>,
+    frames: BTreeMap<FrameId, (Box<[u8]>, usize)>,
 }
 
 impl TreeStore {
     fn write(&mut self, frame: FrameId, offset: u64, data: &[u8]) {
-        let backing = self
+        let (backing, mark) = self
             .frames
             .entry(frame)
-            .or_insert_with(|| vec![0u8; FRAME_BYTES as usize].into_boxed_slice());
-        backing[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+            .or_insert_with(|| (vec![0u8; FRAME_BYTES as usize].into_boxed_slice(), 0));
+        let end = offset as usize + data.len();
+        backing[offset as usize..end].copy_from_slice(data);
+        *mark = (*mark).max(end.div_ceil(PAGE) * PAGE);
     }
 
     fn move_frame(&mut self, frame: FrameId, dst: &mut TreeStore, dst_frame: FrameId) {

@@ -283,12 +283,16 @@ impl Ewma {
         Ewma { alpha, value: None }
     }
 
-    /// Fold in an observation.
+    /// Fold in an observation. A subnormal result is flushed to `0.0`: an
+    /// estimate decaying toward zero would otherwise creep down through
+    /// the subnormals, slow to compute on every later observation, and
+    /// stick at the smallest one instead of reaching zero.
     pub fn observe(&mut self, x: f64) {
-        self.value = Some(match self.value {
+        let v = match self.value {
             None => x,
             Some(v) => v + self.alpha * (x - v),
-        });
+        };
+        self.value = Some(if v.is_subnormal() { 0.0 } else { v });
     }
 
     /// Current estimate (`default` before any observation).
@@ -423,5 +427,24 @@ mod tests {
             e.observe(10.0);
         }
         assert!((e.get_or(0.0) - 10.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn ewma_decays_to_exact_zero_without_subnormals() {
+        let mut e = Ewma::new(0.3);
+        e.observe(1.0);
+        let mut steps = 0;
+        while e.value() != Some(0.0) {
+            e.observe(0.0);
+            steps += 1;
+            assert!(
+                !e.get_or(0.0).is_subnormal(),
+                "subnormal after {steps} steps"
+            );
+            assert!(steps < 5_000, "never reached zero");
+        }
+        // Zero is a fixed point.
+        e.observe(0.0);
+        assert_eq!(e.value().map(f64::to_bits), Some(0.0f64.to_bits()));
     }
 }
