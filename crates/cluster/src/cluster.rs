@@ -243,13 +243,11 @@ impl Cluster {
                 Ok(())
             }
             (Backend::Physical { pool, caches }, VectorHandle::Physical { frames, .. }) => {
-                for f in frames {
-                    pool.free_frame(f)
-                        .map_err(|_| ClusterError::Backend("vector frame was not allocated"))?;
-                    // Other live vectors keep their cached frames.
-                    for c in caches.iter_mut().flatten() {
-                        c.evict(f);
-                    }
+                pool.free_frames(&frames)
+                    .map_err(|_| ClusterError::Backend("vector frame was not allocated"))?;
+                // Other live vectors keep their cached frames.
+                for c in caches.iter_mut().flatten() {
+                    c.evict(&frames);
                 }
                 Ok(())
             }
@@ -748,6 +746,56 @@ mod tests {
             unreachable!("cache cluster")
         };
         assert!(caches.iter().all(|cache| cache.resident_frames() == 0));
+    }
+
+    /// `(holder, frame)` for every frame backing `h`, in vector order
+    /// (the pool box is holder 0 on the physical architectures).
+    fn frame_ids(c: &mut Cluster, h: &VectorHandle) -> Vec<(NodeId, FrameId)> {
+        match h {
+            VectorHandle::Physical { frames, .. } => {
+                frames.iter().map(|f| (NodeId(0), *f)).collect()
+            }
+            VectorHandle::Logical(v) => {
+                let pool = &*c.logical_pool().unwrap();
+                v.stripes
+                    .iter()
+                    .flat_map(|(n, seg, _)| {
+                        let frames = pool.local_map(*n).frames_of(*seg);
+                        frames.iter().map(move |f| (*n, *f))
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    #[test]
+    fn freed_vector_frames_are_reallocated_on_every_architecture() {
+        let params = ScanParams {
+            cores: 2,
+            chunk: FRAME_BYTES,
+            ..ScanParams::default()
+        };
+        for arch in [PoolArch::Logical, PoolArch::PhysicalCache, PoolArch::PhysicalNoCache] {
+            let mut c = small(arch);
+            let available = c.pool_available();
+            // 30 frames span two servers' 24-frame shares on the logical
+            // pool; the scan leaves frames in the physical caches.
+            let h = c.alloc_vector(30 * FRAME_BYTES, NodeId(0)).unwrap();
+            let frames = frame_ids(&mut c, &h);
+            assert_eq!(frames.len(), 30, "{arch:?}");
+            c.scan_vector(SimTime::ZERO, NodeId(0), &h, params).unwrap();
+            c.free_vector(h).unwrap();
+            assert_eq!(c.pool_available(), available, "{arch:?}");
+            if let Backend::Physical {
+                caches: Some(caches),
+                ..
+            } = &c.backend
+            {
+                assert!(caches.iter().all(|cache| cache.resident_frames() == 0));
+            }
+            let again = c.alloc_vector(30 * FRAME_BYTES, NodeId(0)).unwrap();
+            assert_eq!(frame_ids(&mut c, &again), frames, "{arch:?}");
+        }
     }
 
     #[test]

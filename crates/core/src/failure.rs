@@ -212,8 +212,7 @@ impl ProtectionManager {
                 None => PoolError::Internal("fabric rejected a well-formed transfer"),
             })?;
         let replica = pool.alloc(len, Placement::On(target))?;
-        let data = pool.read_bytes(LogicalAddr::new(seg, 0), len)?;
-        pool.write_bytes(LogicalAddr::new(replica, 0), &data)?;
+        pool.copy_written(seg, replica)?;
         self.mirrors.insert(seg, replica);
         self.replica_of.insert(replica, seg);
         Ok(replica)
@@ -286,7 +285,7 @@ impl ProtectionManager {
             let data = pool.read_bytes(LogicalAddr::new(m, 0), len)?;
             xor_into(&mut acc, &data);
         }
-        pool.write_bytes(LogicalAddr::new(parity, 0), &acc)?;
+        pool.fill_fresh(parity, &acc)?;
         let gid = GroupId(self.next_group);
         self.next_group += 1;
         self.groups.insert(
@@ -656,6 +655,46 @@ mod tests {
         // Same logical address, same bytes, new server.
         assert_eq!(p.read_bytes(addr, 11).unwrap(), b"replicated!");
         assert_ne!(p.holder_of(seg), Some(NodeId(0)));
+    }
+
+    /// Backing bytes `seg`'s frames hold on its holder.
+    fn backed(p: &LogicalPool, seg: SegmentId) -> usize {
+        let node = p.holder_of(seg).unwrap();
+        p.local_map(node)
+            .frames_of(seg)
+            .iter()
+            .map(|f| p.node(node).frame_bytes(*f).map_or(0, <[u8]>::len))
+            .sum()
+    }
+
+    #[test]
+    fn protection_backs_only_the_bytes_written() {
+        // A mirror twin copies the source's written prefix only.
+        let (mut p, mut f, mut pm) = setup(4);
+        let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
+        p.write_bytes(LogicalAddr::new(seg, 0), &[7; 100]).unwrap();
+        let twin = pm.mirror(&mut p, &mut f, SimTime::ZERO, seg).unwrap();
+        assert_eq!((backed(&p, seg), backed(&p, twin)), (4096, 4096));
+        let whole = |s| p.read_bytes(LogicalAddr::new(s, 0), FRAME_BYTES).unwrap();
+        assert_eq!(whole(twin), whole(seg));
+        // Parity over sparse members stops at its last nonzero page, and
+        // a frame with nothing written stays unbacked.
+        let a = p.alloc(2 * FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
+        let b = p.alloc(2 * FRAME_BYTES, Placement::On(NodeId(2))).unwrap();
+        p.write_bytes(LogicalAddr::new(a, 5000), b"alpha").unwrap();
+        p.write_bytes(LogicalAddr::new(b, 10), b"bravo").unwrap();
+        let gid = pm
+            .protect_parity(&mut p, &mut f, SimTime::ZERO, &[a, b])
+            .unwrap();
+        let parity = pm.groups[&gid].parity;
+        assert_eq!(backed(&p, parity), 8192);
+        // The copy rebuilt from parity is backed the same way.
+        let affected = p.crash_server(NodeId(1));
+        let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(1), &affected);
+        assert_eq!(report.reconstructed, vec![a]);
+        assert_eq!(backed(&p, a), 8192);
+        let rebuilt = p.read_bytes(LogicalAddr::new(a, 5000), 5).unwrap();
+        assert_eq!(rebuilt, b"alpha");
     }
 
     #[test]

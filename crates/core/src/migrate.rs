@@ -96,11 +96,9 @@ pub fn migrate_segment(
     // Switch the maps: install at destination, free at source, bump epoch.
     pool.local_mut(dst).insert(seg, dst_frames);
     if let Some(frames) = pool.local_mut(src).remove(seg) {
-        for f in frames {
-            pool.node_raw(src)
-                .free(f)
-                .map_err(|_| PoolError::Internal("migrated frame was not allocated"))?;
-        }
+        pool.node_raw(src)
+            .free_many(&frames)
+            .map_err(|_| PoolError::Internal("migrated frame was not allocated"))?;
     }
     let new_loc = pool
         .global_mut()

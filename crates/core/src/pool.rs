@@ -449,11 +449,9 @@ impl LogicalPool {
     pub fn free(&mut self, seg: SegmentId) -> Result<(), PoolError> {
         let loc = self.global.remove(seg).ok_or(PoolError::UnknownSegment(seg))?;
         if let Some(frames) = self.locals[loc.server.0 as usize].remove(seg) {
-            for f in frames {
-                self.nodes[loc.server.0 as usize]
-                    .free(f)
-                    .map_err(|_| PoolError::Internal("local map frame not allocated"))?;
-            }
+            self.nodes[loc.server.0 as usize]
+                .free_many(&frames)
+                .map_err(|_| PoolError::Internal("local map frame not allocated"))?;
         }
         for tlb in self.tlbs.iter_mut().flatten() {
             tlb.invalidate(seg);
@@ -1185,14 +1183,6 @@ impl LogicalPool {
         if let Some(old) = self.global.peek(seg) {
             self.release_frames(old.server, seg);
         }
-        // Fill the new frames.
-        let node = &mut self.nodes[target.0 as usize];
-        let mut cursor = 0usize;
-        for f in &frame_ids {
-            let chunk = (FRAME_BYTES as usize).min(data.len() - cursor);
-            node.write_bytes(*f, 0, &data[cursor..cursor + chunk]);
-            cursor += chunk;
-        }
         self.locals[target.0 as usize].insert(seg, frame_ids);
         self.global
             .relocate(seg, target)
@@ -1200,15 +1190,80 @@ impl LogicalPool {
         for tlb in self.tlbs.iter_mut().flatten() {
             tlb.invalidate(seg);
         }
+        self.fill_fresh(seg, data)
+    }
+
+    /// Protection: copy `src`'s bytes into `dst`, a segment of the same
+    /// length on another live server that nothing has written yet. Each
+    /// frame copies only its written prefix, so the copy reads like the
+    /// source and is backed like it.
+    pub(crate) fn copy_written(&mut self, src: SegmentId, dst: SegmentId) -> Result<(), PoolError> {
+        let from = self.live_holder(src)?;
+        let to = self.live_holder(dst)?;
+        if from == to || self.segment_len(src) != self.segment_len(dst) {
+            return Err(PoolError::Internal(
+                "a copy needs equal-length segments on two servers",
+            ));
+        }
+        let pairs: Vec<(FrameId, FrameId)> = self.locals[from.0 as usize]
+            .frames_of(src)
+            .iter()
+            .copied()
+            .zip(self.locals[to.0 as usize].frames_of(dst).iter().copied())
+            .collect();
+        let (a, b) = self.two_nodes(from, to);
+        for (sf, df) in pairs {
+            if let Some(written) = a.frame_bytes(sf) {
+                b.write_bytes(df, 0, written);
+            }
+        }
         Ok(())
     }
 
-    /// Remove `seg`'s frame list from `server`'s fine map and return the
-    /// frames to that server's allocator.
-    fn release_frames(&mut self, server: NodeId, seg: SegmentId) {
+    /// Protection: write `data` over all of `seg`, a segment nothing has
+    /// written yet, each frame only up to its last nonzero byte. The rest
+    /// of a fresh frame reads as zeros already, so a zero tail stays
+    /// unbacked and a zero frame unmaterialized.
+    pub(crate) fn fill_fresh(&mut self, seg: SegmentId, data: &[u8]) -> Result<(), PoolError> {
+        let server = self.live_holder(seg)?;
+        if self.segment_len(seg) != Some(data.len() as u64) {
+            return Err(PoolError::Internal(
+                "fill length differs from the segment's",
+            ));
+        }
         let node = &mut self.nodes[server.0 as usize];
-        for f in self.locals[server.0 as usize].remove(seg).into_iter().flatten() {
-            node.release(f);
+        let frames = self.locals[server.0 as usize].frames_of(seg);
+        for (f, chunk) in frames.iter().zip(data.chunks(FRAME_BYTES as usize)) {
+            if let Some(last) = chunk.iter().rposition(|&b| b != 0) {
+                node.write_bytes(*f, 0, &chunk[..=last]);
+            }
+        }
+        Ok(())
+    }
+
+    /// The holder of `seg`, which must be up.
+    fn live_holder(&self, seg: SegmentId) -> Result<NodeId, PoolError> {
+        let server = self.holder_of(seg).ok_or(PoolError::UnknownSegment(seg))?;
+        if self.nodes[server.0 as usize].is_failed() {
+            return Err(PoolError::SegmentLost(seg));
+        }
+        Ok(server)
+    }
+
+    /// Remove `seg`'s frame list from `server`'s fine map and return the
+    /// frames that are still allocated to that server's allocator, in one
+    /// call; a frame that is free already stays free.
+    fn release_frames(&mut self, server: NodeId, seg: SegmentId) {
+        let Some(mut frames) = self.locals[server.0 as usize].remove(seg) else {
+            return;
+        };
+        let node = &mut self.nodes[server.0 as usize];
+        if node.free_many(&frames).is_err() {
+            frames.retain(|&f| node.split().kind_of(f).is_some());
+            // lmp-lint: allow(swallowed-error) — a fine-map list names each
+            // frame once and only allocated ones are left, so nothing can
+            // refuse this call.
+            let _ = node.free_many(&frames);
         }
     }
 
@@ -1860,17 +1915,25 @@ mod tests {
     /// failed batch's translations.
     #[test]
     fn recovery_returns_the_crashed_homes_frames() {
-        let (mut p, mut f) = small_pool();
-        let seg = p.alloc(4 * FRAME_BYTES, Placement::On(NodeId(2))).unwrap();
-        let mut prot = crate::failure::ProtectionManager::new();
-        prot.mirror(&mut p, &mut f, SimTime::ZERO, seg).unwrap();
-        let affected = p.crash_server(NodeId(2));
-        let report = prot.recover(&mut p, &mut f, SimTime::ZERO, NodeId(2), &affected);
-        assert_eq!(report.promoted, vec![seg]);
-        assert_ne!(p.holder_of(seg), Some(NodeId(2)));
-        p.revive_server(NodeId(2));
-        assert_eq!(p.free_shared_frames(NodeId(2)), 16);
-        assert!(p.global_map().segments_on(NodeId(2)).is_empty());
+        // Also when a frame of the segment was freed behind the fine
+        // map's back: the frames still allocated return all the same.
+        for freed_early in [false, true] {
+            let (mut p, mut f) = small_pool();
+            let seg = p.alloc(4 * FRAME_BYTES, Placement::On(NodeId(2))).unwrap();
+            let mut prot = crate::failure::ProtectionManager::new();
+            prot.mirror(&mut p, &mut f, SimTime::ZERO, seg).unwrap();
+            if freed_early {
+                let first = p.local_map(NodeId(2)).frames_of(seg)[0];
+                p.node_mut(NodeId(2)).free_many(&[first]).unwrap();
+            }
+            let affected = p.crash_server(NodeId(2));
+            let report = prot.recover(&mut p, &mut f, SimTime::ZERO, NodeId(2), &affected);
+            assert_eq!(report.promoted, vec![seg]);
+            assert_ne!(p.holder_of(seg), Some(NodeId(2)));
+            p.revive_server(NodeId(2));
+            assert_eq!(p.free_shared_frames(NodeId(2)), 16, "{freed_early}");
+            assert!(p.global_map().segments_on(NodeId(2)).is_empty());
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use lmp_fabric::{Fabric, LinkProfile, MemOp, NodeId};
 use lmp_mem::{DramProfile, FRAME_BYTES};
 use lmp_sim::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
 /// The fault scenarios the chaos harness ships.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,8 +255,16 @@ impl Scenario {
             // one before the flood (fast path, no hedge), one inside it
             // (race; the twin wins), one inside the crash-repair window
             // (degraded), and one after promotion and rejoin, which reads
-            // the promoted twin; it is not a fast-path read either (at seeds
-            // 3 and 42 it still races, and the primary wins by 4 ns).
+            // the promoted twin; it is not always a fast-path read either
+            // (at seed 42 it still races, and the primary wins by 4 ns).
+            //
+            // The workload pauses from the first flood to the racing probe.
+            // An op issued then reaches its holder's wires only when the
+            // flood drains, so one that touches the probes' requester n0
+            // (n1 reading seg0, or n0 reading seg2 behind n3's flooded down
+            // wire) reserves n0's wires past the drain horizon; both race
+            // legs queue behind it and the primary wins. At seed 9, n1's
+            // read of seg0 at 9,338 ns held n0's up wire to 32,989 ns.
             //
             // The detector is armed only from the crash instant. A
             // pre-crash sweep has nothing to detect, but its probe flits
@@ -270,6 +278,7 @@ impl Scenario {
                     |at, idx, seg_idx| (at, Ev::HedgedProbe { idx, seg_idx, requester: n(0) });
                 Spec {
                     hedge_home: Some(n(1)),
+                    quiet: Some(8_000..=10_000),
                     pinned: vec![
                         flood(8_000),
                         flood(9_000),
@@ -395,6 +404,9 @@ struct Spec {
     sweeps_from: Option<u64>,
     /// Whether workload ops span two frames instead of moving 8–127 B.
     spanning_ops: bool,
+    /// Workload ops drawn inside this window (ns, inclusive) are left out;
+    /// the rest of the draw is unchanged.
+    quiet: Option<RangeInclusive<u64>>,
     /// The scenario's own checks, run after the common ones.
     check: fn(&World) -> Vec<CheckResult>,
 }
@@ -417,6 +429,7 @@ impl Spec {
             pinned: Vec::new(),
             sweeps_from: None,
             spanning_ops: false,
+            quiet: None,
             check,
         }
     }
@@ -1526,6 +1539,10 @@ pub fn run_scenario(scenario: Scenario, seed: u64) -> ChaosReport {
     let faults = spec.faults.into_iter().map(|(t, f)| (at(t), Ev::Fault(f)));
     let ops = (0..)
         .zip(&world.ops)
+        .filter(|(_, op)| {
+            let quiet = spec.quiet.as_ref();
+            !quiet.is_some_and(|q| q.contains(&op.at.as_nanos()))
+        })
         .map(|(id, op)| (op.at, Ev::Op { id, attempt: 0 }));
     // Detector sweeps at the configured cadence across the horizon.
     let interval = HealthConfig::default_chaos().probe_interval;

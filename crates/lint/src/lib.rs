@@ -123,7 +123,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 /// Scan one on-disk file with its path-derived classification. Single-file
 /// mode runs the file-local rules only (R1, R4, R5); the graph rules need
-/// `--workspace`.
+/// `--workspace`, and an allow of one of them is not reported unused here.
 pub fn scan_path(root: &Path, path: &Path) -> std::io::Result<Vec<Finding>> {
     let source = std::fs::read_to_string(path)?;
     let label = path

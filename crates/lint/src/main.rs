@@ -3,8 +3,9 @@
 //!
 //! `--workspace` runs the full call-graph analysis (R1–R7) over the
 //! workspace under the current directory; explicit paths run the
-//! file-local rules only (R1, R4, R5). `--explain` prints the
-//! seed-to-site call chain under each graph finding.
+//! file-local rules only (R1, R4, R5), and do not judge allows of the
+//! graph-scoped rules unused. `--explain` prints the seed-to-site call
+//! chain under each graph finding.
 //!
 //! Exit status: 0 when clean, 1 on any finding, 2 on usage/IO errors.
 

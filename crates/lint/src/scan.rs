@@ -177,6 +177,20 @@ pub(crate) fn prepare(source: &str) -> Prepared {
     }
 }
 
+impl FileClass {
+    /// Whether a single-file scan under this class runs `rule`. R2 and R3
+    /// run only where the class turns them on, and the graph rules R6 and
+    /// R7 never, so an allow of such a rule cannot be judged unused there.
+    pub(crate) fn runs(self, rule: Rule) -> bool {
+        match rule {
+            Rule::UnorderedIter => self.digest_path,
+            Rule::NoPanic => self.recoverable,
+            Rule::SwallowedError | Rule::EagerMetric => false,
+            _ => true,
+        }
+    }
+}
+
 /// Run the file-local rules (no suppression handling, no call graph).
 pub(crate) fn local_findings(p: &Prepared, class: FileClass) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -195,8 +209,14 @@ pub(crate) fn local_findings(p: &Prepared, class: FileClass) -> Vec<Finding> {
 }
 
 /// Apply suppressions: a justified allow removes that rule's findings on
-/// its target line; everything else about the mechanism is an error.
-pub(crate) fn apply_allows(lines: &[Line], findings: &mut Vec<Finding>) {
+/// its target line; everything else about the mechanism is an error. An
+/// allow that suppresses nothing is `unused-allow` only when its rule
+/// `ran` on the file.
+pub(crate) fn apply_allows(
+    lines: &[Line],
+    findings: &mut Vec<Finding>,
+    ran: impl Fn(Rule) -> bool,
+) {
     let mut allows = collect_allows(lines);
     findings.retain(|f| {
         let mut suppressed = false;
@@ -216,7 +236,7 @@ pub(crate) fn apply_allows(lines: &[Line], findings: &mut Vec<Finding>) {
                     "allow({}) carries no justification — write `// lmp-lint: allow({}) — <why>`",
                     a.raw_rule, a.raw_rule
                 )));
-        } else if !a.used {
+        } else if !a.used && a.rule.is_some_and(&ran) {
             findings.push(Finding::local(a.comment_line, Rule::UnusedAllow, format!(
                     "allow({}) suppresses nothing on line {} — remove it",
                     a.raw_rule, a.target_line
@@ -239,7 +259,7 @@ pub(crate) fn finalize(label: &str, mut findings: Vec<Finding>) -> Vec<Finding> 
 pub fn scan_source(label: &str, source: &str, class: FileClass) -> Vec<Finding> {
     let p = prepare(source);
     let mut findings = local_findings(&p, class);
-    apply_allows(&p.lines, &mut findings);
+    apply_allows(&p.lines, &mut findings, |rule| class.runs(rule));
     finalize(label, findings)
 }
 

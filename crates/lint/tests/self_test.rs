@@ -241,6 +241,36 @@ fn simbench_wall_clock_allows_are_justified_and_used() {
     );
 }
 
+/// Explicit paths run the file-local rules only, so the allows of the
+/// graph-scoped rules in a clean file are not judged unused: the CLI exits 0
+/// on the fixture and on a real file with justified `allow(no-panic)`s.
+#[test]
+fn clean_file_as_explicit_path_exits_zero() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for path in [
+        "crates/lint/tests/fixtures/explicit_path.rs",
+        "crates/core/src/pool.rs",
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lmp-lint"))
+            .arg(path)
+            .current_dir(&root)
+            .output()
+            .expect("lmp-lint runs");
+        assert!(
+            out.status.success(),
+            "{path}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    // With R2 and R3 on, its allows suppress real findings: still clean.
+    let scoped = FileClass {
+        digest_path: true,
+        recoverable: true,
+        ..FileClass::default()
+    };
+    assert!(found("explicit_path.rs", scoped).is_empty());
+}
+
 #[test]
 fn rule_name_round_trip() {
     for r in [

@@ -85,34 +85,28 @@ impl MemoryNode {
         self.split.shared_budget() * FRAME_BYTES
     }
 
-    /// Allocate a frame in the given region.
-    pub fn alloc(&mut self, kind: RegionKind) -> Result<FrameId, RegionError> {
-        self.ensure_alive();
-        self.split.alloc(kind)
-    }
-
-    /// Allocate `n` frames; all-or-nothing.
+    /// Allocate the `n` lowest free frames in `kind`; all-or-nothing.
     pub fn alloc_many(&mut self, kind: RegionKind, n: u64) -> Result<Vec<FrameId>, RegionError> {
         self.ensure_alive();
         self.split.alloc_many(kind, n)
     }
 
-    /// Free a frame and discard any materialized contents.
-    pub fn free(&mut self, frame: FrameId) -> Result<(), RegionError> {
-        self.split.free(frame)?;
-        self.store.discard(frame);
-        self.hotness.forget(frame);
-        Ok(())
-    }
-
-    /// Free `frame` if it is allocated, discarding its contents; a free
-    /// frame stays free. Failure handling returns the frames of a segment
-    /// whose bookkeeping it drops this way.
-    pub fn release(&mut self, frame: FrameId) {
-        if self.split.free(frame).is_ok() {
-            self.store.discard(frame);
-            self.hotness.forget(frame);
+    /// Free every frame of `frames` and forget its contents and hotness.
+    /// All-or-nothing: when any frame is not allocated, or is listed
+    /// twice, nothing is freed. The contents are only looked up while
+    /// some frame is materialized.
+    #[inline]
+    pub fn free_many(&mut self, frames: &[FrameId]) -> Result<(), RegionError> {
+        self.split.free_many(frames)?;
+        if self.store.materialized() > 0 {
+            for &f in frames {
+                self.store.discard(f);
+            }
         }
+        for &f in frames {
+            self.hotness.forget(f);
+        }
+        Ok(())
     }
 
     /// Time an access of `bytes` against this node's DRAM, attributing it to
@@ -342,20 +336,20 @@ mod tests {
     #[test]
     fn alloc_access_free_cycle() {
         let mut n = node();
-        let f = n.alloc(RegionKind::Shared).unwrap();
+        let f = n.alloc_many(RegionKind::Shared, 1).unwrap()[0];
         let c = n.access(SimTime::ZERO, 64, 0, true, Some(f));
         assert_eq!(c.latency.as_nanos(), 82);
         assert_eq!(n.local_access_count(), 1);
         assert_eq!(n.hotness().total(f), 1);
-        n.free(f).unwrap();
+        n.free_many(&[f]).unwrap();
         assert_eq!(n.hotness().total(f), 0);
     }
 
     #[test]
     fn access_run_coalesces_occupancy_and_samples_each_frame() {
         let mut n = node();
-        let f1 = n.alloc(RegionKind::Shared).unwrap();
-        let f2 = n.alloc(RegionKind::Shared).unwrap();
+        let fs = n.alloc_many(RegionKind::Shared, 2).unwrap();
+        let (f1, f2) = (fs[0], fs[1]);
         let run = n.access_run(SimTime::ZERO, 128, 3, false, &[f1, f2]);
         // One access on the channel, one remote bump, hotness on both frames.
         assert_eq!(n.remote_access_count(), 1);
@@ -364,7 +358,7 @@ mod tests {
         assert_eq!(n.hotness().total(f2), 1);
         // Occupancy equals the same bytes issued as one plain access.
         let mut m = node();
-        let g = m.alloc(RegionKind::Shared).unwrap();
+        let g = m.alloc_many(RegionKind::Shared, 1).unwrap()[0];
         let single = m.access(SimTime::ZERO, 128, 3, false, Some(g));
         assert_eq!(run.complete, single.complete);
     }
@@ -382,13 +376,29 @@ mod tests {
     #[test]
     fn bytes_survive_until_free() {
         let mut n = node();
-        let f = n.alloc(RegionKind::Private).unwrap();
+        let f = n.alloc_many(RegionKind::Private, 1).unwrap()[0];
         n.write_bytes(f, 0, b"data");
         assert_eq!(&n.frame_bytes(f).unwrap()[..4], b"data");
-        n.free(f).unwrap();
-        let f2 = n.alloc(RegionKind::Private).unwrap();
+        n.free_many(&[f]).unwrap();
+        let f2 = n.alloc_many(RegionKind::Private, 1).unwrap()[0];
         assert_eq!(f2, f, "lowest-first reuse");
         assert_eq!(n.frame_bytes(f2), None, "no stale data leak");
+    }
+
+    #[test]
+    fn free_many_refused_keeps_contents_and_hotness() {
+        let mut n = node();
+        let fs = n.alloc_many(RegionKind::Shared, 3).unwrap();
+        n.write_bytes(fs[1], 0, b"kept");
+        n.access(SimTime::ZERO, 64, 2, false, Some(fs[2]));
+        // A duplicate refuses the whole list: nothing freed or forgotten.
+        assert!(n.free_many(&[fs[0], fs[1], fs[1]]).is_err());
+        assert_eq!(n.split().shared_used(), 3);
+        assert_eq!(&n.frame_bytes(fs[1]).unwrap()[..4], b"kept");
+        n.free_many(&fs).unwrap();
+        assert_eq!(n.split().shared_used(), 0);
+        assert_eq!(n.materialized_frames(), 0);
+        assert_eq!(n.hotness().total(fs[2]), 0);
     }
 
     #[test]
@@ -401,7 +411,7 @@ mod tests {
     #[test]
     fn crash_blocks_operations_and_restart_clears() {
         let mut n = node();
-        let f = n.alloc(RegionKind::Shared).unwrap();
+        let f = n.alloc_many(RegionKind::Shared, 1).unwrap()[0];
         n.write_bytes(f, 0, b"precious");
         n.crash();
         assert!(n.is_failed());
@@ -409,7 +419,7 @@ mod tests {
         assert!(!n.is_failed());
         // All frames free again; data gone.
         assert_eq!(n.split().shared_used(), 0);
-        let f2 = n.alloc(RegionKind::Shared).unwrap();
+        let f2 = n.alloc_many(RegionKind::Shared, 1).unwrap()[0];
         assert_eq!(n.frame_bytes(f2), None);
         assert_eq!(n.materialized_frames(), 0);
     }

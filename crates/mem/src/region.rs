@@ -7,7 +7,7 @@
 //! re-balanced at runtime ([`RegionSplit::resize_shared`]) without touching
 //! data — the flexibility benefit of §4.5.
 
-use crate::frame::{FrameAllocator, FrameBitmap, FrameError, FrameId};
+use crate::frame::{push_frames, FrameAllocator, FrameBitmap, FrameError, FrameId};
 
 /// Which region a frame belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,6 +60,7 @@ pub struct RegionSplit {
     frames: FrameAllocator,
     shared_budget: u64,
     shared_frames: FrameBitmap,
+    shared_used: u64,
     private_used: u64,
 }
 
@@ -80,6 +81,7 @@ impl RegionSplit {
             frames: FrameAllocator::new(total),
             shared_budget,
             shared_frames: FrameBitmap::default(),
+            shared_used: 0,
             private_used: 0,
         }
     }
@@ -101,7 +103,7 @@ impl RegionSplit {
 
     /// Frames allocated in the shared region.
     pub fn shared_used(&self) -> u64 {
-        self.shared_frames.len()
+        self.shared_used
     }
 
     /// Frames allocated in the private region.
@@ -129,44 +131,45 @@ impl RegionSplit {
         }
     }
 
-    /// Allocate one frame in `kind`.
-    pub fn alloc(&mut self, kind: RegionKind) -> Result<FrameId, RegionError> {
-        if self.available(kind) == 0 {
-            return Err(RegionError::BudgetExhausted(kind));
-        }
-        let f = self.frames.alloc()?;
-        match kind {
-            RegionKind::Shared => {
-                self.shared_frames.insert(f);
-            }
-            RegionKind::Private => self.private_used += 1,
-        }
-        Ok(f)
-    }
-
-    /// Allocate `n` frames in `kind`; all-or-nothing.
+    /// Allocate the `n` lowest free frames in `kind`, in ascending order;
+    /// all-or-nothing. Shared frames join the shared set a bitmap word at
+    /// a time, as the allocator hands them out.
     pub fn alloc_many(&mut self, kind: RegionKind, n: u64) -> Result<Vec<FrameId>, RegionError> {
         if self.available(kind) < n {
             return Err(RegionError::BudgetExhausted(kind));
         }
-        (0..n).map(|_| self.alloc(kind)).collect()
+        let mut out = Vec::with_capacity(n as usize);
+        let shared = &mut self.shared_frames;
+        self.frames.take(n, |w, mask| {
+            if kind == RegionKind::Shared {
+                shared.insert_word(w, mask);
+            }
+            push_frames(&mut out, w, mask);
+        })?;
+        match kind {
+            RegionKind::Shared => self.shared_used += n,
+            RegionKind::Private => self.private_used += n,
+        }
+        Ok(out)
     }
 
-    /// Free a frame (its region membership is forgotten).
-    pub fn free(&mut self, frame: FrameId) -> Result<(), RegionError> {
-        match self.kind_of(frame) {
-            None => Err(RegionError::Frame(FrameError::NotAllocated)),
-            Some(RegionKind::Shared) => {
-                self.frames.free(frame)?;
-                self.shared_frames.remove(frame);
-                Ok(())
+    /// Free every frame of `frames`, whichever region holds it (its
+    /// membership is forgotten). All-or-nothing: when any frame is not
+    /// allocated, or is listed twice, nothing is freed.
+    #[inline]
+    pub fn free_many(&mut self, frames: &[FrameId]) -> Result<(), RegionError> {
+        let shared = &mut self.shared_frames;
+        let mut private = 0;
+        self.frames.give_back(frames, |w, mask| {
+            let own = mask & !shared.word(w);
+            if own != 0 {
+                private += u64::from(own.count_ones());
             }
-            Some(RegionKind::Private) => {
-                self.frames.free(frame)?;
-                self.private_used -= 1;
-                Ok(())
-            }
-        }
+            shared.remove_word(w, mask);
+        })?;
+        self.private_used -= private;
+        self.shared_used -= frames.len() as u64 - private;
+        Ok(())
     }
 
     /// Change the shared budget — the ratio-flexibility knob of §4.5.
@@ -209,13 +212,13 @@ mod tests {
         assert_eq!(s.available(RegionKind::Private), 6);
         s.alloc_many(RegionKind::Shared, 4).unwrap();
         assert_eq!(
-            s.alloc(RegionKind::Shared),
+            s.alloc_many(RegionKind::Shared, 1),
             Err(RegionError::BudgetExhausted(RegionKind::Shared))
         );
         // Private still has room.
         s.alloc_many(RegionKind::Private, 6).unwrap();
         assert_eq!(
-            s.alloc(RegionKind::Private),
+            s.alloc_many(RegionKind::Private, 1),
             Err(RegionError::BudgetExhausted(RegionKind::Private))
         );
     }
@@ -223,23 +226,30 @@ mod tests {
     #[test]
     fn kind_tracking_and_free() {
         let mut s = RegionSplit::new(4, 2);
-        let sh = s.alloc(RegionKind::Shared).unwrap();
-        let pr = s.alloc(RegionKind::Private).unwrap();
+        let sh = s.alloc_many(RegionKind::Shared, 1).unwrap()[0];
+        let pr = s.alloc_many(RegionKind::Private, 1).unwrap()[0];
         assert_eq!(s.kind_of(sh), Some(RegionKind::Shared));
         assert_eq!(s.kind_of(pr), Some(RegionKind::Private));
-        s.free(sh).unwrap();
+        s.free_many(&[sh]).unwrap();
         assert_eq!(s.kind_of(sh), None);
         assert_eq!(s.shared_used(), 0);
         assert_eq!(s.private_used(), 1);
+        // One list may span both regions; a bad entry refuses all of it.
+        let sh = s.alloc_many(RegionKind::Shared, 2).unwrap();
+        let both = [sh[0], pr, sh[1]];
+        assert!(s.free_many(&[sh[0], pr, pr]).is_err());
+        assert_eq!((s.shared_used(), s.private_used()), (2, 1));
+        s.free_many(&both).unwrap();
+        assert_eq!((s.shared_used(), s.private_used()), (0, 0));
     }
 
     #[test]
     fn grow_shared_region() {
         let mut s = RegionSplit::new(10, 2);
         s.alloc_many(RegionKind::Shared, 2).unwrap();
-        assert!(s.alloc(RegionKind::Shared).is_err());
+        assert!(s.alloc_many(RegionKind::Shared, 1).is_err());
         s.resize_shared(10).unwrap();
-        assert!(s.alloc(RegionKind::Shared).is_ok());
+        assert!(s.alloc_many(RegionKind::Shared, 1).is_ok());
         assert_eq!(s.private_budget(), 0);
     }
 

@@ -13,20 +13,98 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Ops driving the allocator state machine.
 #[derive(Debug, Clone)]
 enum AllocOp {
-    Alloc,
     AllocMany(u64),
-    FreeNth(usize),
-    /// Free a frame that is not held: a double free or a foreign frame.
-    FreeUnheld(u64),
+    FreeMany(FreeList),
+}
+
+/// A list for `free_many`: the held frames `picks` selects (indices taken
+/// mod the held count, each frame once, in pick order, or sorted), plus at
+/// most one entry that must refuse the whole list.
+#[derive(Debug, Clone)]
+struct FreeList {
+    picks: Vec<usize>,
+    sorted: bool,
+    bad: Option<BadEntry>,
+}
+
+/// An entry that makes `free_many` refuse a list.
+#[derive(Debug, Clone)]
+enum BadEntry {
+    /// The list's entry at this index (mod its length), listed again.
+    Duplicate(usize),
+    /// The free frame at this index (mod the free count).
+    AlreadyFree(usize),
+    /// A frame this far past the end of the frames.
+    Foreign(u64),
+}
+
+fn free_lists() -> impl Strategy<Value = FreeList> {
+    let picks = || proptest::collection::vec(any::<usize>(), 0..24);
+    prop_oneof![
+        3 => (picks(), any::<bool>()).prop_map(|(picks, sorted)| FreeList {
+            picks,
+            sorted,
+            bad: None,
+        }),
+        2 => (picks(), any::<bool>(), 0u8..3, any::<usize>(), 0u64..200).prop_map(
+            |(picks, sorted, kind, at, far)| FreeList {
+                picks,
+                sorted,
+                bad: Some(match kind {
+                    0 => BadEntry::Duplicate(at),
+                    1 => BadEntry::AlreadyFree(at),
+                    _ => BadEntry::Foreign(far),
+                }),
+            }
+        ),
+    ]
+}
+
+impl FreeList {
+    /// The list over `held` (frames held, in any order) and `free` (frames
+    /// free below `total`), and whether `free_many` must accept it. A bad
+    /// entry with nothing to copy or pick leaves the list clean.
+    fn build(&self, held: &[FrameId], free: &[FrameId], total: u64) -> (Vec<FrameId>, bool) {
+        let mut list: Vec<FrameId> = Vec::new();
+        if !held.is_empty() {
+            for p in &self.picks {
+                let f = held[p % held.len()];
+                if !list.contains(&f) {
+                    list.push(f);
+                }
+            }
+        }
+        let bad = match self.bad {
+            Some(BadEntry::Duplicate(i)) if !list.is_empty() => Some(list[i % list.len()]),
+            Some(BadEntry::AlreadyFree(i)) if !free.is_empty() => Some(free[i % free.len()]),
+            Some(BadEntry::Foreign(far)) => Some(FrameId(total + far)),
+            _ => None,
+        };
+        if let Some(f) = bad {
+            let at = self.picks.len() % (list.len() + 1);
+            list.insert(at, f);
+        }
+        if self.sorted {
+            list.sort_unstable();
+        }
+        (list, bad.is_none())
+    }
+}
+
+/// Ops driving the region split.
+#[derive(Debug, Clone)]
+enum RegionOp {
+    Alloc(RegionKind, u64),
+    FreeMany(FreeList),
+    Resize(u64),
 }
 
 fn alloc_ops() -> impl Strategy<Value = Vec<AllocOp>> {
     proptest::collection::vec(
         prop_oneof![
-            4 => Just(AllocOp::Alloc),
-            1 => (0u64..80).prop_map(AllocOp::AllocMany),
-            3 => any::<usize>().prop_map(AllocOp::FreeNth),
-            1 => (0u64..400).prop_map(AllocOp::FreeUnheld),
+            3 => Just(AllocOp::AllocMany(1)),
+            2 => (0u64..80).prop_map(AllocOp::AllocMany),
+            4 => free_lists().prop_map(AllocOp::FreeMany),
         ],
         1..300,
     )
@@ -155,9 +233,11 @@ fn hot_ops() -> impl Strategy<Value = Vec<HotOp>> {
 }
 
 proptest! {
-    /// The allocator hands out exactly the lowest free frame of a tree
-    /// model, keeps `alloc_many` all-or-nothing, rejects double and
-    /// foreign frees, and its counts always match the model.
+    /// The allocator hands out exactly the lowest free frames of a tree
+    /// model, keeps `alloc_many` all-or-nothing, frees any sublist of the
+    /// held frames as one unit, refuses a whole list that repeats a frame
+    /// or names a free or foreign one, and its counts always match the
+    /// model.
     #[test]
     fn allocator_never_double_allocates(total in totals(), ops in alloc_ops()) {
         let mut a = FrameAllocator::new(total);
@@ -165,13 +245,6 @@ proptest! {
         let mut held: Vec<FrameId> = Vec::new();
         for op in ops {
             match op {
-                AllocOp::Alloc => match free.pop_first() {
-                    Some(want) => {
-                        prop_assert_eq!(a.alloc(), Ok(FrameId(want)));
-                        held.push(FrameId(want));
-                    }
-                    None => prop_assert_eq!(a.alloc(), Err(FrameError::OutOfFrames)),
-                },
                 AllocOp::AllocMany(n) => {
                     if n > free.len() as u64 {
                         prop_assert_eq!(a.alloc_many(n), Err(FrameError::OutOfFrames));
@@ -182,17 +255,15 @@ proptest! {
                         held.extend(want);
                     }
                 }
-                AllocOp::FreeNth(n) => {
-                    if !held.is_empty() {
-                        let f = held.swap_remove(n % held.len());
-                        prop_assert!(a.free(f).is_ok());
-                        free.insert(f.0);
-                        prop_assert_eq!(a.free(f), Err(FrameError::NotAllocated));
-                    }
-                }
-                AllocOp::FreeUnheld(f) => {
-                    if !held.contains(&FrameId(f)) {
-                        prop_assert_eq!(a.free(FrameId(f)), Err(FrameError::NotAllocated));
+                AllocOp::FreeMany(spec) => {
+                    let free_ids: Vec<FrameId> = free.iter().copied().map(FrameId).collect();
+                    let (list, ok) = spec.build(&held, &free_ids, total);
+                    if ok {
+                        prop_assert_eq!(a.free_many(&list), Ok(()));
+                        held.retain(|f| !list.contains(f));
+                        free.extend(list.iter().map(|f| f.0));
+                    } else {
+                        prop_assert_eq!(a.free_many(&list), Err(FrameError::NotAllocated));
                     }
                 }
             }
@@ -206,41 +277,61 @@ proptest! {
 
     /// Region budgets are conserved under arbitrary alloc/free/resize
     /// sequences: shared_used ≤ shared_budget, private_used ≤ private_budget,
-    /// the two regions never overlap, and `kind_of` agrees with a model for
-    /// every frame after every step.
+    /// the two regions never overlap, a freed sublist (which may mix both
+    /// regions) leaves both, a list with a repeated, free or foreign frame
+    /// changes nothing, and `kind_of` agrees with a model for every frame
+    /// after every step.
     #[test]
     fn region_split_invariants(
         total in totals(),
-        ops in proptest::collection::vec((0u8..4, 0u64..300), 1..200),
+        ops in proptest::collection::vec(
+            prop_oneof![
+                2 => (0u64..6).prop_map(|n| RegionOp::Alloc(RegionKind::Shared, n)),
+                2 => (0u64..6).prop_map(|n| RegionOp::Alloc(RegionKind::Private, n)),
+                3 => free_lists().prop_map(RegionOp::FreeMany),
+                1 => (0u64..300).prop_map(RegionOp::Resize),
+            ],
+            1..200,
+        ),
     ) {
         let mut s = RegionSplit::new(total, total / 2);
         let mut shared: BTreeSet<FrameId> = BTreeSet::new();
         let mut private: BTreeSet<FrameId> = BTreeSet::new();
-        for (op, arg) in ops {
+        for op in ops {
             match op {
-                0 => {
-                    if let Ok(f) = s.alloc(RegionKind::Shared) {
-                        prop_assert!(!shared.contains(&f) && !private.contains(&f));
-                        shared.insert(f);
+                RegionOp::Alloc(kind, n) => {
+                    let room = s.available(kind);
+                    match s.alloc_many(kind, n) {
+                        Ok(fs) => {
+                            prop_assert!(n <= room);
+                            prop_assert_eq!(fs.len() as u64, n);
+                            for f in fs {
+                                prop_assert!(!shared.contains(&f) && !private.contains(&f));
+                                match kind {
+                                    RegionKind::Shared => shared.insert(f),
+                                    RegionKind::Private => private.insert(f),
+                                };
+                            }
+                        }
+                        Err(_) => prop_assert!(n > room),
                     }
                 }
-                1 => {
-                    if let Ok(f) = s.alloc(RegionKind::Private) {
-                        prop_assert!(!shared.contains(&f) && !private.contains(&f));
-                        private.insert(f);
+                RegionOp::FreeMany(spec) => {
+                    let held: Vec<FrameId> = shared.iter().chain(private.iter()).copied().collect();
+                    let free_ids: Vec<FrameId> = (0..total)
+                        .map(FrameId)
+                        .filter(|f| !shared.contains(f) && !private.contains(f))
+                        .collect();
+                    let (list, ok) = spec.build(&held, &free_ids, total);
+                    prop_assert_eq!(s.free_many(&list).is_ok(), ok);
+                    if ok {
+                        for f in &list {
+                            shared.remove(f);
+                            private.remove(f);
+                        }
                     }
                 }
-                2 => {
-                    // Free an arbitrary held frame.
-                    let all: Vec<FrameId> = shared.iter().chain(private.iter()).copied().collect();
-                    if !all.is_empty() {
-                        let f = all[arg as usize % all.len()];
-                        prop_assert!(s.free(f).is_ok());
-                        shared.remove(&f);
-                        private.remove(&f);
-                    }
-                }
-                _ => {
+                RegionOp::Resize(arg) => {
                     // Attempt resize; success or failure, invariants hold.
                     let _ = s.resize_shared(arg % (total + 1));
                 }

@@ -176,7 +176,7 @@ impl PoolCache {
                         // runs when the cache is full, so some stamp is
                         // structurally nonzero.
                         .expect("cache full implies non-empty");
-                    self.evict(victim);
+                    self.evict(&[victim]);
                     self.evictions.inc();
                     evicted = Some(victim);
                 }
@@ -257,13 +257,19 @@ impl PoolCache {
         self.upfront_bytes.get()
     }
 
-    /// Drop `frame` from the cache, if resident (its pool frame was
-    /// freed). Not counted in [`Self::eviction_count`], which counts
-    /// capacity evictions only.
-    pub fn evict(&mut self, frame: FrameId) {
-        if let Some(stamp) = self.stamps.get_mut(frame.0 as usize).filter(|s| **s != 0) {
-            *stamp = 0;
-            self.resident -= 1;
+    /// Drop every resident frame of `frames` from the cache (their pool
+    /// frames were freed); stops as soon as the cache is empty. Not
+    /// counted in [`Self::eviction_count`], which counts capacity
+    /// evictions only.
+    pub fn evict(&mut self, frames: &[FrameId]) {
+        for f in frames {
+            if self.resident == 0 {
+                return;
+            }
+            if let Some(stamp) = self.stamps.get_mut(f.0 as usize).filter(|s| **s != 0) {
+                *stamp = 0;
+                self.resident -= 1;
+            }
         }
     }
 }
@@ -397,9 +403,7 @@ mod tests {
             assert_eq!(cache.resident_frames(), 2, "{policy:?}");
             // Evicting one frame leaves the other resident; evicting a
             // frame that is not resident is a no-op.
-            cache.evict(hi);
-            cache.evict(hi);
-            cache.evict(FrameId(7));
+            cache.evict(&[hi, hi, FrameId(7)]);
             assert_eq!(cache.resident_frames(), 1, "{policy:?}");
             assert_eq!(cache.eviction_count(), 0, "{policy:?}");
             assert!(cache.access(&mut fabric, &mut pool, now, lo, 64).hit);
@@ -449,7 +453,7 @@ mod tests {
                 .access(&mut fabric, &mut pool, now, FrameId(70), 64)
                 .hit
         );
-        cache.evict(FrameId(3));
+        cache.evict(&[FrameId(3)]);
         let a = cache.access(&mut fabric, &mut pool, now, FrameId(70), 64);
         assert!(!a.hit);
         assert!(

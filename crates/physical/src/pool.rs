@@ -56,9 +56,10 @@ impl PhysicalPool {
         self.node.alloc_many(RegionKind::Shared, n)
     }
 
-    /// Free a pooled frame.
-    pub fn free_frame(&mut self, frame: FrameId) -> Result<(), RegionError> {
-        self.node.free(frame)
+    /// Free pooled frames; all-or-nothing, like
+    /// [`MemoryNode::free_many`].
+    pub fn free_frames(&mut self, frames: &[FrameId]) -> Result<(), RegionError> {
+        self.node.free_many(frames)
     }
 
     /// A server (`requester`) reads `bytes` from pooled memory.
@@ -135,8 +136,9 @@ mod tests {
         let frames = pool.alloc_frames(GIB / FRAME_BYTES).unwrap();
         assert_eq!(frames.len() as u64, GIB / FRAME_BYTES);
         assert!(pool.alloc_frames(1).is_err());
-        pool.free_frame(frames[0]).unwrap();
-        assert!(pool.alloc_frames(1).is_ok());
+        pool.free_frames(&frames[..1]).unwrap();
+        assert!(pool.alloc_frames(2).is_err());
+        assert_eq!(pool.alloc_frames(1).unwrap(), frames[..1]);
     }
 
     #[test]

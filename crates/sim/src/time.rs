@@ -126,6 +126,11 @@ impl SimDuration {
     /// # Panics
     /// Panics on negative, NaN, or overflowing factors.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
+        // Exact below 2^53 ns, where every count is a float: the common
+        // healthy-link factor of 1 costs no rounding.
+        if factor == 1.0 && self.0 < 1 << 53 {
+            return self;
+        }
         let v = self.0 as f64 * factor;
         // lmp-lint: allow(no-panic) — documented `# Panics` contract;
         // operator-style API cannot return Result and a NaN factor is a model
@@ -134,8 +139,18 @@ impl SimDuration {
             v.is_finite() && v >= 0.0 && v <= u64::MAX as f64,
             "invalid duration scale: {factor}"
         );
-        SimDuration(v.round() as u64)
+        SimDuration(round_to_u64(v))
     }
+}
+
+/// `x.round() as u64` (half away from zero) for `0 <= x <= 2^64`, without
+/// the float `round`, which baseline x86-64 calls out of line. Below 2^52
+/// the truncating cast and the fraction it leaves are exact; from 2^52 up
+/// every `x` is a whole number, so the fraction is 0 (and 2^64 saturates,
+/// as the cast of `x.round()` does).
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {

@@ -6,6 +6,28 @@
 use lmp_sim::prelude::*;
 use proptest::prelude::*;
 
+/// The `f64::ceil` form [`Bandwidth::time_to_transfer`] must match bit
+/// for bit.
+fn transfer_by_ceil(bw: Bandwidth, bytes: u64) -> SimDuration {
+    if bytes == 0 {
+        return SimDuration::ZERO;
+    }
+    if bw.bytes_per_sec() <= 0.0 {
+        return SimDuration::MAX;
+    }
+    let ns = (bytes as f64) / bw.bytes_per_sec() * 1e9;
+    if ns >= u64::MAX as f64 {
+        SimDuration::MAX
+    } else {
+        SimDuration::from_nanos(ns.ceil() as u64)
+    }
+}
+
+/// The `f64::round` form [`SimDuration::mul_f64`] must match bit for bit.
+fn scale_by_round(d: SimDuration, factor: f64) -> SimDuration {
+    SimDuration::from_nanos((d.as_nanos() as f64 * factor).round() as u64)
+}
+
 proptest! {
     /// Events always pop in non-decreasing timestamp order, and equal
     /// timestamps pop in insertion order.
@@ -146,6 +168,37 @@ proptest! {
         let mut f2 = a.fork(&label);
         for _ in 0..16 {
             prop_assert_eq!(rand::RngCore::next_u64(&mut f1), rand::RngCore::next_u64(&mut f2));
+        }
+    }
+
+    /// The integer roundings equal the `f64::ceil`/`f64::round` forms bit
+    /// for bit: on random rates, sizes and factors, and within 4,096 of
+    /// 2^52 (where floats stop holding fractions), 2^53 (where they stop
+    /// holding every integer) and 2^64 (where the casts saturate), with
+    /// factors a few ulps either side of 1.
+    #[test]
+    fn integer_rounding_matches_f64_forms(
+        gbps in 0.001f64..500.0,
+        bytes in any::<u64>(),
+        (edge, off, below) in (0usize..3, 0u64..4096, any::<bool>()),
+        factor in 0.0f64..4.0,
+        nudge in -4i64..5,
+    ) {
+        let e = [1u64 << 52, 1 << 53, u64::MAX][edge];
+        let at = if below { e.saturating_sub(off) } else { e.saturating_add(off) };
+        let sizes = [bytes, bytes % 1_000_000, at];
+        for bw in [Bandwidth::from_gbps(gbps), Bandwidth::from_gbps(1.0), Bandwidth::ZERO] {
+            for b in sizes.into_iter().chain([0]) {
+                prop_assert_eq!(bw.time_to_transfer(b), transfer_by_ceil(bw, b));
+            }
+        }
+        let near_one = f64::from_bits(1.0f64.to_bits().wrapping_add_signed(nudge));
+        for d in [at, bytes >> 11, bytes % 1_000_000, bytes].map(SimDuration::from_nanos) {
+            for f in [factor, near_one, 1.0, 0.5, 1.5] {
+                if d.as_nanos() as f64 * f <= u64::MAX as f64 {
+                    prop_assert_eq!(d.mul_f64(f), scale_by_round(d, f));
+                }
+            }
         }
     }
 }
