@@ -10,7 +10,7 @@
 //! speed. Prints per-pass bandwidth for both configurations.
 
 use lmp_bench::{emit_header, emit_row};
-use lmp_compute::{scan_segment, ScanParams};
+use lmp_compute::{scan_ranges, ScanParams};
 use lmp_core::prelude::*;
 use lmp_fabric::{Fabric, LinkProfile, NodeId};
 use lmp_mem::DramProfile;
@@ -56,8 +56,8 @@ fn run(balance: bool) -> Vec<Row> {
         let mut bytes = 0;
         for &seg in &segs {
             let len = pool.segment_len(seg).expect("live");
-            let out = scan_segment(
-                &mut pool, &mut fabric, now, client, seg, 0, len, ScanParams::default(),
+            let out = scan_ranges(
+                &mut pool, &mut fabric, now, client, &[(seg, 0, len)], ScanParams::default(),
             )
             .expect("scan runs");
             now = out.complete;

@@ -10,7 +10,7 @@
 //! shipping the partial sums to the data, on both links.
 
 use lmp_bench::{emit_header, emit_row};
-use lmp_compute::{reduce_timed, DistVector, ScanParams, Strategy};
+use lmp_compute::{Choice, DistVector, Operator, Planner, ReduceOp, ScanParams};
 use lmp_core::prelude::*;
 use lmp_fabric::{Fabric, LinkProfile, NodeId};
 use lmp_mem::DramProfile;
@@ -47,24 +47,32 @@ fn main() {
         "{:<6} {:<6} {:>14} {:>16} {:>12}",
         "Link", "Mode", "Effective BW", "Fabric bytes", "Completion"
     );
+    let op = Operator::Aggregate(ReduceOp::Sum);
+    let planner = Planner::new(ScanParams::default(), 0.0);
     for link in [LinkProfile::link0(), LinkProfile::link1()] {
         let mut speedup = Vec::new();
-        for (name, strategy) in [("pull", Strategy::Pull), ("ship", Strategy::Ship)] {
+        for (name, choice) in [("pull", Choice::Fetch), ("ship", Choice::Ship)] {
             let mut pool = build();
             let mut fabric = Fabric::new(link.clone(), 4);
             let servers: Vec<NodeId> = (0..4).map(NodeId).collect();
             let v = DistVector::stripe_even(&mut pool, size, &servers).expect("fits");
-            let out = reduce_timed(
-                &mut pool,
-                &mut fabric,
-                SimTime::ZERO,
-                NodeId(0),
-                &v,
-                strategy,
-                ScanParams::default(),
-            )
-            .expect("reduction runs");
-            let bw = out.bandwidth(size, SimTime::ZERO);
+            // Fetch pulls every stripe to server 0; ship sums each stripe
+            // where it lives and returns the partials.
+            let plan = planner
+                .plan(&mut pool, &fabric, SimTime::ZERO, NodeId(0), &v, op)
+                .expect("plan");
+            let (_, out) = planner
+                .execute(
+                    &mut pool,
+                    &mut fabric,
+                    SimTime::ZERO,
+                    NodeId(0),
+                    op,
+                    &plan.forced(choice),
+                )
+                .expect("reduction runs");
+            let bw =
+                Bandwidth::measured(size, out.complete.saturating_duration_since(SimTime::ZERO));
             let ms = out.complete.as_secs_f64() * 1e3;
             speedup.push(ms);
             emit_row(

@@ -10,7 +10,7 @@
 //! why remote slowdowns hurt: the same cores extract far less bandwidth.
 
 use lmp_bench::{emit_header, emit_row};
-use lmp_compute::{scan_segment, ScanParams};
+use lmp_compute::{scan_ranges, ScanParams};
 use lmp_core::prelude::*;
 use lmp_fabric::{Fabric, LinkProfile, NodeId};
 use lmp_mem::DramProfile;
@@ -36,8 +36,8 @@ fn scan(local: bool, cores: u32) -> f64 {
     let len = 4 * GIB;
     let holder = if local { NodeId(0) } else { NodeId(1) };
     let seg = pool.alloc(len, Placement::On(holder)).expect("fits");
-    let out = scan_segment(
-        &mut pool, &mut fabric, SimTime::ZERO, NodeId(0), seg, 0, len, ScanParams::with_cores(cores),
+    let out = scan_ranges(
+        &mut pool, &mut fabric, SimTime::ZERO, NodeId(0), &[(seg, 0, len)], ScanParams::with_cores(cores),
     )
     .expect("scan runs");
     out.bandwidth(SimTime::ZERO).as_gbps()

@@ -11,12 +11,13 @@
 //!   paper's vector-aggregation microbenchmark.
 //! * [`placement::DistVector`] — buffers striped across servers (data
 //!   placement, the first incast remedy).
-//! * [`ship`] — pull-vs-ship distributed reductions with exact byte
-//!   accounting, plus materialized-value computation for correctness tests.
 //! * [`operator`] — shippable operator descriptions (filter, aggregate,
-//!   count, top-k) whose result size depends on the data.
-//! * [`planner`] — the cost-based per-segment ship-vs-fetch planner, fed
-//!   by live fabric backlog, holder memory pressure, and selectivity.
+//!   count, top-k) whose result size depends on the data, folded from
+//!   borrowed pool reads.
+//! * [`planner`] — the one way to run an operator over a vector: a
+//!   cost-based per-segment ship-vs-fetch plan, fed by live fabric
+//!   backlog, holder memory pressure, and selectivity, whose every segment
+//!   a caller may force to ship or to fetch.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,10 +26,8 @@ pub mod operator;
 pub mod placement;
 pub mod planner;
 pub mod scan;
-pub mod ship;
 
-pub use operator::{OpOutput, Operator, Predicate};
+pub use operator::{OpOutput, Operator, Predicate, ReduceOp};
 pub use placement::DistVector;
 pub use planner::{fetch_reference, Choice, Plan, Planner, PushdownOutcome, SegmentPlan};
-pub use scan::{scan_ranges, scan_segment, ScanOutcome, ScanParams, DEFAULT_CHUNK};
-pub use ship::{reduce_timed, reduce_value, ReduceOp, ReduceOutcome, Strategy};
+pub use scan::{scan_ranges, ScanOutcome, ScanParams, DEFAULT_CHUNK};

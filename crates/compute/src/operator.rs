@@ -17,7 +17,10 @@
 //!
 //! A stripe is folded as the runs a borrowed pool read yields
 //! ([`LogicalPool::read_runs`](lmp_core::pool::LogicalPool::read_runs)),
-//! never copied into a stripe buffer.
+//! never copied into a stripe buffer. A frame's unwritten bytes arrive as
+//! one [`ReadRun::Zeros`] run, which every operator folds in closed form
+//! (see [`Operator::fold`]), so an unmaterialized stripe costs one step per
+//! frame.
 //! Each kernel picks the operator and predicate once per run and then
 //! loops without dispatch: counts, sums and min/max keep four independent
 //! accumulators (baseline x86-64 has no 64-bit vector compare, so one
@@ -31,10 +34,52 @@
 //! This module is on the lmp-lint R3 no-panic list: merges surface
 //! mismatched partials as [`PoolError::Internal`] instead of panicking.
 
-use crate::ship::ReduceOp;
+use lmp_core::pool::ReadRun;
 use lmp_core::prelude::PoolError;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Reduction operators over u64 little-endian elements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReduceOp {
+    /// Wrapping sum of all elements.
+    Sum,
+    /// Minimum element (u64::MAX when empty).
+    Min,
+    /// Maximum element (0 when empty).
+    Max,
+}
+
+impl ReduceOp {
+    /// Identity element.
+    pub fn identity(self) -> u64 {
+        match self {
+            ReduceOp::Sum => 0,
+            ReduceOp::Min => u64::MAX,
+            ReduceOp::Max => 0,
+        }
+    }
+
+    /// Combine two partial results.
+    pub fn combine(self, a: u64, b: u64) -> u64 {
+        match self {
+            ReduceOp::Sum => a.wrapping_add(b),
+            ReduceOp::Min => a.min(b),
+            ReduceOp::Max => a.max(b),
+        }
+    }
+
+    /// Fold a byte slice as little-endian u64 elements (the tail shorter
+    /// than 8 bytes is ignored, matching an element-aligned vector).
+    fn fold_bytes(self, bytes: &[u8]) -> u64 {
+        let id = self.identity();
+        match self {
+            ReduceOp::Sum => fold_lanes(bytes, id, u64::wrapping_add, u64::wrapping_add),
+            ReduceOp::Min => fold_lanes(bytes, id, u64::min, u64::min),
+            ReduceOp::Max => fold_lanes(bytes, id, u64::max, u64::max),
+        }
+    }
+}
 
 /// A total predicate over u64 elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +153,7 @@ fn le(w: &[u8]) -> u64 {
 /// the result independent of which accumulator saw which element (true of
 /// counts, wrapping sums, min and max), so it equals a sequential fold.
 #[inline]
-pub(crate) fn fold_lanes(
+fn fold_lanes(
     run: &[u8],
     init: u64,
     step: impl Fn(u64, u64) -> u64,
@@ -193,6 +238,16 @@ impl Predicate {
             Predicate::EqMasked { mask, value } => filter(run, |v| v & mask == value, rows),
         }
     }
+
+    /// Matching elements of a run of `n` zero bytes: all `n / 8` of them
+    /// or none.
+    fn zero_matches(self, n: usize) -> usize {
+        if self.matches(0) {
+            n / 8
+        } else {
+            0
+        }
+    }
 }
 
 impl Operator {
@@ -210,18 +265,38 @@ impl Operator {
     /// stripe's partial, one run at a time. Every run but the last must
     /// hold whole elements; the last may end in a 1–7-byte tail, which is
     /// ignored. The result equals [`reference::execute`] on the
-    /// concatenated runs.
-    pub fn fold<'a>(&self, runs: impl IntoIterator<Item = &'a [u8]>) -> OpOutput {
+    /// concatenated runs, a [`ReadRun::Zeros`] run standing for its zero
+    /// bytes.
+    ///
+    /// A `Zeros(n)` run holds `e = n / 8` zero elements and folds in O(1):
+    /// an aggregate combines one 0 when `e > 0` (sum, min and max are
+    /// idempotent in 0); a count adds `e`, and a filter appends `e` zeros,
+    /// when the predicate matches 0; top-k offers zeros only while its
+    /// heap has room, since a zero never displaces a candidate.
+    pub fn fold<'a>(&self, runs: impl IntoIterator<Item = ReadRun<'a>>) -> OpOutput {
         let runs = runs.into_iter();
         match *self {
-            Operator::Aggregate(op) => OpOutput::Scalar(runs.fold(op.identity(), |acc, run| {
-                op.combine(acc, op.fold_bytes(run))
-            })),
-            Operator::Count(p) => OpOutput::Scalar(runs.map(|run| p.count(run)).sum()),
+            Operator::Aggregate(op) => {
+                OpOutput::Scalar(runs.fold(op.identity(), |acc, run| match run {
+                    ReadRun::Bytes(bytes) => op.combine(acc, op.fold_bytes(bytes)),
+                    ReadRun::Zeros(n) if n >= 8 => op.combine(acc, 0),
+                    ReadRun::Zeros(_) => acc,
+                }))
+            }
+            Operator::Count(p) => OpOutput::Scalar(
+                runs.map(|run| match run {
+                    ReadRun::Bytes(bytes) => p.count(bytes),
+                    ReadRun::Zeros(n) => p.zero_matches(n) as u64,
+                })
+                .sum(),
+            ),
             Operator::Filter(p) => {
                 let mut rows = Vec::new();
                 for run in runs {
-                    p.filter(run, &mut rows);
+                    match run {
+                        ReadRun::Bytes(bytes) => p.filter(bytes, &mut rows),
+                        ReadRun::Zeros(n) => rows.resize(rows.len() + p.zero_matches(n), 0),
+                    }
                 }
                 OpOutput::Rows(rows)
             }
@@ -229,7 +304,13 @@ impl Operator {
                 let k = k as usize;
                 let mut heap = BinaryHeap::with_capacity(k);
                 for run in runs {
-                    top(run, k, &mut heap);
+                    match run {
+                        ReadRun::Bytes(bytes) => top(bytes, k, &mut heap),
+                        ReadRun::Zeros(n) => {
+                            let room = k.saturating_sub(heap.len()).min(n / 8);
+                            heap.extend(std::iter::repeat_n(Reverse(0), room));
+                        }
+                    }
                 }
                 // Ascending `Reverse` order is descending element order.
                 OpOutput::Top(heap.into_sorted_vec().into_iter().map(|r| r.0).collect())
@@ -379,7 +460,16 @@ mod tests {
 
     /// Fold one stripe given as a single run.
     fn exec(op: Operator, bytes: &[u8]) -> OpOutput {
-        op.fold([bytes])
+        op.fold([ReadRun::Bytes(bytes)])
+    }
+
+    #[test]
+    fn op_folding() {
+        let bytes = pack(&[3, 9, 1]);
+        assert_eq!(ReduceOp::Sum.fold_bytes(&bytes), 13);
+        assert_eq!(ReduceOp::Min.fold_bytes(&bytes), 1);
+        assert_eq!(ReduceOp::Max.fold_bytes(&bytes), 9);
+        assert_eq!(ReduceOp::Sum.fold_bytes(&[]), 0);
     }
 
     #[test]

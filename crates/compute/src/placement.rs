@@ -28,20 +28,10 @@ impl DistVector {
         self.len() == 0
     }
 
-    /// The stripe held by `server`, if any.
-    pub fn stripe_on(&self, server: NodeId) -> Option<(SegmentId, u64)> {
-        self.stripes
-            .iter()
-            .find(|(n, _, _)| *n == server)
-            .map(|(_, s, l)| (*s, *l))
-    }
-
     /// Allocate a vector of `len` bytes striped evenly across `servers`.
     ///
     /// Every server gets `len / servers.len()` (the last stripe absorbs the
     /// remainder). Fails when any server lacks shared capacity.
-    // Rollback frees only segments this function just allocated.
-    #[allow(clippy::expect_used)]
     pub fn stripe_even(
         pool: &mut LogicalPool,
         len: u64,
@@ -88,8 +78,6 @@ impl DistVector {
     /// `preferred`, overflowing to whichever servers have room — the
     /// placement a single-server workload gets (§4.3's 64 GB case, where
     /// 3/8 of the vector lands locally).
-    // Rollback frees only segments this function just allocated.
-    #[allow(clippy::expect_used)]
     pub fn place_local_first(
         pool: &mut LogicalPool,
         len: u64,
@@ -198,14 +186,5 @@ mod tests {
         for s in 0..4 {
             assert_eq!(p.free_shared_frames(NodeId(s)), 8);
         }
-    }
-
-    #[test]
-    fn stripe_on_lookup() {
-        let mut p = pool(8);
-        let servers = [NodeId(2), NodeId(3)];
-        let v = DistVector::stripe_even(&mut p, 4 * FRAME_BYTES, &servers).unwrap();
-        assert!(v.stripe_on(NodeId(2)).is_some());
-        assert!(v.stripe_on(NodeId(0)).is_none());
     }
 }

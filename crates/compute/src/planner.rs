@@ -44,10 +44,10 @@
 use crate::operator::{OpOutput, Operator};
 use crate::placement::DistVector;
 use crate::scan::{scan_ranges, ScanParams};
-use crate::ship::{group_by_holder, live_stripes, ship_result};
 use lmp_core::prelude::*;
-use lmp_fabric::{Fabric, NodeId};
+use lmp_fabric::{Fabric, FabricError, NodeId};
 use lmp_sim::prelude::*;
+use std::collections::BTreeMap;
 
 /// Cost estimate for an unreachable path (port down): large enough to
 /// always lose a comparison, small enough never to overflow later sums.
@@ -100,8 +100,10 @@ pub struct Plan {
 
 impl Plan {
     /// A copy with every remote segment forced to `choice` (requester-local
-    /// segments stay [`Choice::Local`]). The bench uses this to measure the
-    /// all-ship and all-fetch endpoints the planner is judged against.
+    /// segments stay [`Choice::Local`]). Forced to [`Choice::Fetch`] a plan
+    /// pulls the data to the requester, forced to [`Choice::Ship`] it ships
+    /// the operator to the data: the two endpoints the planner is judged
+    /// against.
     pub fn forced(&self, choice: Choice) -> Plan {
         let mut out = self.clone();
         for sp in &mut out.segments {
@@ -408,22 +410,67 @@ impl Planner {
         outcome.result_bytes = op.output_bytes(&merged);
         Ok((merged, outcome))
     }
+}
 
-    /// Plan and execute in one call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run(
-        &self,
-        pool: &mut LogicalPool,
-        fabric: &mut Fabric,
-        now: SimTime,
-        requester: NodeId,
-        vector: &DistVector,
-        op: Operator,
-    ) -> Result<(OpOutput, Plan, PushdownOutcome), PoolError> {
-        let plan = self.plan(pool, fabric, now, requester, vector, op)?;
-        let (out, outcome) = self.execute(pool, fabric, now, requester, op, &plan)?;
-        Ok((out, plan, outcome))
+/// Live `(holder, segment, len)` stripes in logical order.
+type LiveStripes = Vec<(NodeId, SegmentId, u64)>;
+
+/// Resolve every stripe of `vector` against the live pool mapping,
+/// bumping the `compute.stale_holder` counter for each relocation.
+/// Returns the live `(holder, segment, len)` stripes in logical order plus
+/// the relocation count.
+///
+/// # Errors
+/// [`PoolError::UnknownSegment`] when a stripe's segment no longer exists.
+fn live_stripes(
+    pool: &mut LogicalPool,
+    vector: &DistVector,
+) -> Result<(LiveStripes, u32), PoolError> {
+    let mut out = Vec::with_capacity(vector.stripes.len());
+    let mut stale = 0u32;
+    for (recorded, seg, len) in &vector.stripes {
+        let live = pool
+            .holder_of(*seg)
+            .ok_or(PoolError::UnknownSegment(*seg))?;
+        if live != *recorded {
+            stale += 1;
+            if let Some(t) = pool.telemetry_mut() {
+                t.note_stale_holder();
+            }
+        }
+        out.push((live, *seg, *len));
     }
+    Ok((out, stale))
+}
+
+/// Ship `bytes` of results from `holder` back to `requester` at `when`.
+fn ship_result(
+    fabric: &mut Fabric,
+    when: SimTime,
+    holder: NodeId,
+    requester: NodeId,
+    bytes: u64,
+) -> Result<SimTime, PoolError> {
+    fabric
+        .try_write(when, holder, requester, bytes)
+        .map(|c| c.complete)
+        .map_err(|e| match e {
+            FabricError::RequesterDown(n) => PoolError::ServerDown(n),
+            FabricError::HolderDown(n) => PoolError::ServerDown(n),
+            FabricError::Contract(why) => PoolError::Internal(why),
+        })
+}
+
+/// Group live stripes by holder, preserving logical order within each
+/// holder. `BTreeMap` keeps the holder iteration order deterministic.
+fn group_by_holder(
+    stripes: &[(NodeId, SegmentId, u64)],
+) -> BTreeMap<NodeId, Vec<(SegmentId, u64, u64)>> {
+    let mut groups: BTreeMap<NodeId, Vec<(SegmentId, u64, u64)>> = BTreeMap::new();
+    for (holder, seg, len) in stripes {
+        groups.entry(*holder).or_default().push((*seg, 0, *len));
+    }
+    groups
 }
 
 /// Fail, charging nothing, when one segment's leg of an execution cannot
@@ -476,7 +523,7 @@ pub fn fetch_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::Predicate;
+    use crate::operator::{Predicate, ReduceOp};
     use lmp_fabric::LinkProfile;
     use lmp_mem::{DramProfile, FRAME_BYTES};
 
@@ -491,17 +538,21 @@ mod tests {
         (LogicalPool::new(cfg), Fabric::new(LinkProfile::link1(), 4))
     }
 
-    fn fill_lcg(pool: &mut LogicalPool, v: &DistVector, seed: u64, modulus: u64) {
-        let mut x = seed;
+    /// Fill every stripe from a seeded LCG; returns the elements' sum.
+    fn fill_lcg(pool: &mut LogicalPool, v: &DistVector, seed: u64, modulus: u64) -> u64 {
+        let (mut x, mut sum) = (seed, 0u64);
         for (_, seg, len) in &v.stripes {
             let mut bytes = Vec::with_capacity(*len as usize);
             for _ in 0..(len / 8) {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                bytes.extend(((x >> 33) % modulus).to_le_bytes());
+                let v = (x >> 33) % modulus;
+                sum = sum.wrapping_add(v);
+                bytes.extend(v.to_le_bytes());
             }
             bytes.resize(*len as usize, 0);
             pool.write_bytes(LogicalAddr::new(*seg, 0), &bytes).unwrap();
         }
+        sum
     }
 
     #[test]
@@ -553,8 +604,11 @@ mod tests {
             let v = DistVector::stripe_even(&mut p, 32 * FRAME_BYTES, &servers).unwrap();
             fill_lcg(&mut p, &v, 42, 64);
             let planner = Planner::new(ScanParams::default(), sel);
-            let (out, _, _) = planner
-                .run(&mut p, &mut f, SimTime::ZERO, NodeId(0), &v, op)
+            let plan = planner
+                .plan(&mut p, &f, SimTime::ZERO, NodeId(0), &v, op)
+                .unwrap();
+            let (out, _) = planner
+                .execute(&mut p, &mut f, SimTime::ZERO, NodeId(0), op, &plan)
                 .unwrap();
             let (mut p2, mut f2) = setup(64);
             let v2 = DistVector::stripe_even(&mut p2, 32 * FRAME_BYTES, &servers).unwrap();
@@ -573,9 +627,8 @@ mod tests {
         p.attach_telemetry();
         let servers: Vec<NodeId> = (0..4).map(NodeId).collect();
         let v = DistVector::stripe_even(&mut p, 16 * FRAME_BYTES, &servers).unwrap();
-        fill_lcg(&mut p, &v, 7, 100);
-        let op = Operator::Aggregate(crate::ship::ReduceOp::Sum);
-        let want = crate::ship::reduce_value(&p, &v, crate::ship::ReduceOp::Sum).unwrap();
+        let want = fill_lcg(&mut p, &v, 7, 100);
+        let op = Operator::Aggregate(ReduceOp::Sum);
         let planner = Planner::new(ScanParams::default(), 0.0);
         let plan = planner.plan(&mut p, &f, SimTime::ZERO, NodeId(0), &v, op).unwrap();
         assert_eq!(plan.stale_holders, 0);

@@ -100,28 +100,6 @@ impl ScanOutcome {
     }
 }
 
-/// Scan `len` bytes of `seg` starting at `offset`, from `server`, with
-/// `params.cores` parallel paced streams of `params.chunk`-byte accesses.
-///
-/// A single-stripe special case of [`scan_ranges`].
-///
-/// # Errors
-/// [`PoolError::InvalidRequest`] for zero cores, a zero chunk size or an
-/// unknown server.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_segment(
-    pool: &mut LogicalPool,
-    fabric: &mut Fabric,
-    start: SimTime,
-    server: NodeId,
-    seg: SegmentId,
-    offset: u64,
-    len: u64,
-    params: ScanParams,
-) -> Result<ScanOutcome, PoolError> {
-    scan_ranges(pool, fabric, start, server, &[(seg, offset, len)], params)
-}
-
 /// Scan a list of `(segment, offset, len)` ranges as one logical byte
 /// stream — the shape of a vector striped across servers. Cores divide the
 /// **concatenated** byte range evenly, so a core's slice may span stripes,
@@ -952,8 +930,8 @@ mod tests {
         let (mut p, mut f) = setup(64);
         let len = 64 * FRAME_BYTES; // 128 MiB
         let seg = p.alloc(len, Placement::On(NodeId(0))).unwrap();
-        let out = scan_segment(
-            &mut p, &mut f, SimTime::ZERO, NodeId(0), seg, 0, len, ScanParams::default(),
+        let out = scan_ranges(
+            &mut p, &mut f, SimTime::ZERO, NodeId(0), &[(seg, 0, len)], ScanParams::default(),
         )
         .unwrap();
         assert_eq!(out.remote_bytes, 0);
@@ -969,8 +947,8 @@ mod tests {
         let (mut p, mut f) = setup(64);
         let len = 64 * FRAME_BYTES;
         let seg = p.alloc(len, Placement::On(NodeId(1))).unwrap();
-        let out = scan_segment(
-            &mut p, &mut f, SimTime::ZERO, NodeId(0), seg, 0, len, ScanParams::default(),
+        let out = scan_ranges(
+            &mut p, &mut f, SimTime::ZERO, NodeId(0), &[(seg, 0, len)], ScanParams::default(),
         )
         .unwrap();
         assert_eq!(out.local_bytes, 0);
@@ -986,15 +964,15 @@ mod tests {
         let (mut p, mut f) = setup(64);
         let len = 32 * FRAME_BYTES;
         let seg = p.alloc(len, Placement::On(NodeId(0))).unwrap();
-        let few = scan_segment(
-            &mut p, &mut f, SimTime::ZERO, NodeId(0), seg, 0, len, ScanParams::with_cores(2),
+        let few = scan_ranges(
+            &mut p, &mut f, SimTime::ZERO, NodeId(0), &[(seg, 0, len)], ScanParams::with_cores(2),
         )
         .unwrap();
         let bw_few = few.bandwidth(SimTime::ZERO);
         let (mut p2, mut f2) = setup(64);
         let seg2 = p2.alloc(len, Placement::On(NodeId(0))).unwrap();
-        let many = scan_segment(
-            &mut p2, &mut f2, SimTime::ZERO, NodeId(0), seg2, 0, len, ScanParams::with_cores(28),
+        let many = scan_ranges(
+            &mut p2, &mut f2, SimTime::ZERO, NodeId(0), &[(seg2, 0, len)], ScanParams::with_cores(28),
         )
         .unwrap();
         let bw_many = many.bandwidth(SimTime::ZERO);
@@ -1040,14 +1018,14 @@ mod tests {
     fn zero_cores_or_chunk_is_a_typed_error() {
         let (mut p, mut f) = setup(4);
         let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
-        let e = scan_segment(
-            &mut p, &mut f, SimTime::ZERO, NodeId(0), seg, 0, FRAME_BYTES,
+        let e = scan_ranges(
+            &mut p, &mut f, SimTime::ZERO, NodeId(0), &[(seg, 0, FRAME_BYTES)],
             ScanParams { cores: 0, ..ScanParams::default() },
         )
         .unwrap_err();
         assert!(matches!(e, PoolError::InvalidRequest(_)), "{e:?}");
-        let e = scan_segment(
-            &mut p, &mut f, SimTime::ZERO, NodeId(0), seg, 0, FRAME_BYTES,
+        let e = scan_ranges(
+            &mut p, &mut f, SimTime::ZERO, NodeId(0), &[(seg, 0, FRAME_BYTES)],
             ScanParams { chunk: 0, ..ScanParams::default() },
         )
         .unwrap_err();
@@ -1059,8 +1037,8 @@ mod tests {
         let (mut p, mut f) = setup(16);
         let len = 5 * FRAME_BYTES + 12345;
         let seg = p.alloc(len, Placement::On(NodeId(2))).unwrap();
-        let out = scan_segment(
-            &mut p, &mut f, SimTime::ZERO, NodeId(2), seg, 0, len, ScanParams { cores: 3, chunk: 1_000_000, ..ScanParams::default() },
+        let out = scan_ranges(
+            &mut p, &mut f, SimTime::ZERO, NodeId(2), &[(seg, 0, len)], ScanParams { cores: 3, chunk: 1_000_000, ..ScanParams::default() },
         )
         .unwrap();
         assert_eq!(out.local_bytes + out.remote_bytes, len);

@@ -7,14 +7,16 @@
 //! The reference ([`reference::execute`] and [`reference::merge`]) is the
 //! operator set as first written: one pass over a whole stripe buffer, a
 //! full sort for top-k, and concatenate-then-sort merges. These tests cut
-//! random stripes into random element-aligned runs, fold the runs with
+//! random stripes into random element-aligned runs, zero some runs and
+//! lend those as [`ReadRun::Zeros`], fold the runs with
 //! [`Operator::fold`], and assert that every stripe's partial, and every
-//! stripe-order merge of partials, equals the reference's exactly. Any
-//! divergence would change a pushdown result, and with it every digest
-//! that folds one.
+//! stripe-order merge of partials, equals the reference's over the same
+//! bytes exactly. Any divergence would change a pushdown result, and with
+//! it every digest that folds one.
 
 use lmp_compute::operator::reference;
 use lmp_compute::{OpOutput, Operator, Predicate, ReduceOp};
+use lmp_core::pool::ReadRun;
 use lmp_core::prelude::*;
 use lmp_mem::{DramProfile, FRAME_BYTES};
 use proptest::prelude::*;
@@ -23,12 +25,17 @@ use proptest::prelude::*;
 /// number, which makes duplicates common.
 const MODULI: [u64; 4] = [0, 2, 7, 64];
 
-/// One generated stripe: element values, tail length, run cut points.
-type RawStripe = (Vec<u64>, u8, Vec<u64>);
+/// One generated stripe: element values, tail length, run cut points, and
+/// a mask of the runs to zero (bit `i` for run `i`).
+type RawStripe = (Vec<u64>, u8, Vec<u64>, u8);
 
-/// A stripe's bytes and its runs' byte boundaries (element-aligned).
-fn stripe(raw: &RawStripe, modulus: u64, order: u8, tail: u64) -> (Vec<u8>, Vec<usize>) {
-    let (vals, tail_len, cuts) = raw;
+/// One run of a built stripe: its byte range, and whether it is all zeros
+/// and lent as [`ReadRun::Zeros`].
+type Run = (std::ops::Range<usize>, bool);
+
+/// A stripe's bytes and its runs (element-aligned but for the tail).
+fn stripe(raw: &RawStripe, modulus: u64, order: u8, tail: u64) -> (Vec<u8>, Vec<Run>) {
+    let (vals, tail_len, cuts, zeros) = raw;
     let mut vals: Vec<u64> = vals
         .iter()
         .map(|&v| if modulus == 0 { v } else { v % modulus })
@@ -46,24 +53,39 @@ fn stripe(raw: &RawStripe, modulus: u64, order: u8, tail: u64) -> (Vec<u8>, Vec<
         .map(|&c| (c as usize % (vals.len() + 1)) * 8)
         .collect();
     bounds.sort_unstable();
-    (bytes, bounds)
-}
-
-/// The runs of `bytes` between `bounds`; repeated bounds give empty runs.
-fn runs<'a>(bytes: &'a [u8], bounds: &[usize]) -> Vec<&'a [u8]> {
-    let mut out = Vec::with_capacity(bounds.len() + 1);
+    bounds.push(bytes.len());
+    // Repeated bounds give empty runs; a zeroed run may hold the tail.
     let mut at = 0;
-    for &b in bounds {
-        out.push(&bytes[at..b]);
+    let mut runs = Vec::with_capacity(bounds.len());
+    for (i, &b) in bounds.iter().enumerate() {
+        let zero = (*zeros >> (i % 8)) & 1 == 1;
+        if zero {
+            bytes[at..b].fill(0);
+        }
+        runs.push((at..b, zero));
         at = b;
     }
-    out.push(&bytes[at..]);
-    out
+    (bytes, runs)
+}
+
+/// The runs of a built stripe as a pool read lends them.
+fn runs<'a>(bytes: &'a [u8], runs: &[Run]) -> Vec<ReadRun<'a>> {
+    runs.iter()
+        .map(|(r, zero)| {
+            if *zero {
+                ReadRun::Zeros(r.len())
+            } else {
+                ReadRun::Bytes(&bytes[r.clone()])
+            }
+        })
+        .collect()
 }
 
 /// Every operator under test: Sum, Min and Max; Count and Filter under all
-/// three predicates; TopK with k = 0, 1, n − 1, n and n + 5.
-fn operators(pick: u64, mask: u64, modulus: u64, n: usize) -> Vec<Operator> {
+/// three predicates and under one that always matches 0; TopK with k = 0,
+/// 1, n − 1, n, n + 5 and `total + 1`, where n counts the first stripe's
+/// elements and `total` every stripe's.
+fn operators(pick: u64, mask: u64, modulus: u64, n: usize, total: usize) -> Vec<Operator> {
     let t = if modulus == 0 { pick } else { pick % modulus };
     let mut ops = vec![
         Operator::Aggregate(ReduceOp::Sum),
@@ -77,11 +99,12 @@ fn operators(pick: u64, mask: u64, modulus: u64, n: usize) -> Vec<Operator> {
             mask,
             value: t & mask,
         },
+        Predicate::EqMasked { mask, value: 0 },
     ] {
         ops.push(Operator::Count(p));
         ops.push(Operator::Filter(p));
     }
-    for k in [0, 1, n.saturating_sub(1), n, n + 5] {
+    for k in [0, 1, n.saturating_sub(1), n, n + 5, total + 1] {
         ops.push(Operator::TopK(k as u32));
     }
     ops
@@ -89,16 +112,17 @@ fn operators(pick: u64, mask: u64, modulus: u64, n: usize) -> Vec<Operator> {
 
 fn check(stripes: &[RawStripe], range: usize, order: u8, pick: u64, mask: u64) {
     let modulus = MODULI[range % MODULI.len()];
-    let built: Vec<(Vec<u8>, Vec<usize>)> = stripes
+    let built: Vec<(Vec<u8>, Vec<Run>)> = stripes
         .iter()
         .map(|s| stripe(s, modulus, order, pick))
         .collect();
     let n = stripes[0].0.len();
-    for op in operators(pick, mask, modulus, n) {
+    let total: usize = stripes.iter().map(|s| s.0.len()).sum();
+    for op in operators(pick, mask, modulus, n, total) {
         let mut merged = op.identity();
         let mut want = op.identity();
-        for (i, (bytes, bounds)) in built.iter().enumerate() {
-            let part = op.fold(runs(bytes, bounds));
+        for (i, (bytes, spec)) in built.iter().enumerate() {
+            let part = op.fold(runs(bytes, spec));
             let expect = reference::execute(&op, bytes);
             prop_assert_eq!(
                 &part,
@@ -106,14 +130,13 @@ fn check(stripes: &[RawStripe], range: usize, order: u8, pick: u64, mask: u64) {
                 "{:?} partial of stripe {} ({:?})",
                 op,
                 i,
-                bounds
+                spec
             );
             merged = op.merge(merged, part).unwrap();
             want = reference::merge(&op, want, expect).unwrap();
             prop_assert_eq!(&merged, &want, "{:?} merge through stripe {}", op, i);
         }
         if let (Operator::TopK(k), OpOutput::Top(top)) = (op, &merged) {
-            let total: usize = stripes.iter().map(|s| s.0.len()).sum();
             prop_assert_eq!(top.len(), total.min(k as usize));
         }
     }
@@ -122,8 +145,9 @@ fn check(stripes: &[RawStripe], range: usize, order: u8, pick: u64, mask: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random stripes, cut into random element-aligned runs, fold to the
-    /// reference's partials and merge to its results, stripe by stripe.
+    /// Random stripes, cut into random element-aligned runs of which
+    /// random ones are zeros lent as `Zeros`, fold to the reference's
+    /// partials and merge to its results, stripe by stripe.
     #[test]
     fn fold_and_merge_match_the_reference(
         stripes in proptest::collection::vec(
@@ -131,6 +155,7 @@ proptest! {
                 proptest::collection::vec(any::<u64>(), 0..300),
                 any::<u8>(),
                 proptest::collection::vec(any::<u64>(), 0..6),
+                any::<u8>(),
             ),
             1..5,
         ),
@@ -143,23 +168,25 @@ proptest! {
     }
 }
 
-/// Hand-picked edges: empty stripes, a tail-only stripe, one element, and
-/// runs that split exactly at the filter's stack-block and lane edges.
+/// Hand-picked edges: empty stripes, a tail-only stripe, one element,
+/// runs that split exactly at the filter's stack-block and lane edges, and
+/// zero runs: empty, tail-only, holding the tail, and whole stripes.
 #[test]
 fn edge_stripes_match_the_reference() {
     let seq: Vec<u64> = (0..200).collect();
     let cases: Vec<Vec<RawStripe>> = vec![
-        vec![(vec![], 0, vec![])],
-        vec![(vec![], 7, vec![0, 0])],
-        vec![(vec![u64::MAX], 3, vec![1])],
+        vec![(vec![], 0, vec![], 0)],
+        vec![(vec![], 7, vec![0, 0], 0b101)],
+        vec![(vec![u64::MAX], 3, vec![1], 0b10)],
+        vec![(vec![u64::MAX], 3, vec![], 1)],
         vec![
-            (seq.clone(), 0, vec![4, 64, 128]),
-            (seq.clone(), 5, vec![63, 65]),
+            (seq.clone(), 0, vec![4, 64, 128], 0b1010),
+            (seq.clone(), 5, vec![63, 65], 0b100),
         ],
         vec![
-            (vec![5; 130], 1, vec![3, 67]),
-            (vec![], 0, vec![]),
-            (seq, 0, vec![]),
+            (vec![5; 130], 1, vec![3, 67], 0),
+            (vec![], 0, vec![], 1),
+            (seq, 0, vec![], 0),
         ],
     ];
     for stripes in &cases {
@@ -193,7 +220,7 @@ fn sparse_frame_folds_like_its_zero_padded_bytes() {
     for len in [100, 4096 + 13, 40_003, FRAME_BYTES as usize] {
         let mut padded = vec![0u8; len];
         padded[..100].copy_from_slice(&written);
-        for op in operators(0x3c, 0xff, 0, len / 8) {
+        for op in operators(0x3c, 0xff, 0, len / 8, len / 8) {
             let runs = pool
                 .read_runs(LogicalAddr::new(seg, 0), len as u64)
                 .unwrap();

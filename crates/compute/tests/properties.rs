@@ -1,11 +1,14 @@
 // Test/driver code: unwrap/expect on known-good setup is acceptable here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-//! Property tests for scans, placement, and shippable operators.
+//! Property tests for scans, placement, and shippable operators. A forced
+//! plan is how a reduction is pulled to the requester (`Choice::Fetch`) or
+//! shipped to the data (`Choice::Ship`); the plain tests at the end pin
+//! what each costs.
 
 use lmp_compute::{
-    reduce_timed, reduce_value, scan_ranges, Choice, DistVector, OpOutput, Operator, Planner,
-    Predicate, ReduceOp, ScanParams, Strategy,
+    scan_ranges, Choice, DistVector, OpOutput, Operator, Plan, Planner, Predicate, PushdownOutcome,
+    ReduceOp, ScanParams,
 };
 use lmp_core::prelude::*;
 use lmp_fabric::{Fabric, LinkProfile, NodeId};
@@ -22,6 +25,26 @@ fn setup(shared_frames: u64) -> (LogicalPool, Fabric) {
         tlb_capacity: 64,
     };
     (LogicalPool::new(cfg), Fabric::new(LinkProfile::link1(), 4))
+}
+
+/// Plan a sum of `v` from `requester` at `start`, then execute the plan
+/// with every remote segment forced to `choice`.
+fn forced_sum(
+    p: &mut LogicalPool,
+    f: &mut Fabric,
+    start: SimTime,
+    requester: NodeId,
+    v: &DistVector,
+    choice: Choice,
+    params: ScanParams,
+) -> (OpOutput, PushdownOutcome, Plan) {
+    let op = Operator::Aggregate(ReduceOp::Sum);
+    let planner = Planner::new(params, 0.0);
+    let plan = planner.plan(p, f, start, requester, v, op).unwrap();
+    let (out, outcome) = planner
+        .execute(p, f, start, requester, op, &plan.forced(choice))
+        .unwrap();
+    (out, outcome, plan)
 }
 
 proptest! {
@@ -98,13 +121,14 @@ proptest! {
         }
     }
 
-    /// reduce_value matches a flat fold regardless of striping.
+    /// A sum, fetched or shipped, matches a flat fold regardless of
+    /// striping.
     #[test]
-    fn reduce_value_is_striping_invariant(
+    fn sum_is_striping_invariant(
         values in proptest::collection::vec(any::<u64>(), 4..32),
         nstripes in 1usize..4,
     ) {
-        let (mut p, _) = setup(8);
+        let (mut p, mut f) = setup(8);
         let servers: Vec<NodeId> = (0..nstripes as u32).map(NodeId).collect();
         let v = DistVector::stripe_even(&mut p, nstripes as u64 * FRAME_BYTES, &servers).unwrap();
         // Spread the values across stripes in order.
@@ -115,49 +139,48 @@ proptest! {
             p.write_bytes(LogicalAddr::new(v.stripes[i].1, 0), &bytes).unwrap();
             expect = chunk.iter().fold(expect, |a, &b| a.wrapping_add(b));
         }
-        prop_assert_eq!(reduce_value(&p, &v, ReduceOp::Sum).unwrap(), expect);
+        for choice in [Choice::Fetch, Choice::Ship] {
+            let (got, _, _) = forced_sum(
+                &mut p, &mut f, SimTime::ZERO, NodeId(0), &v, choice, ScanParams::with_cores(4),
+            );
+            prop_assert_eq!(got, OpOutput::Scalar(expect), "{:?}", choice);
+        }
     }
 
-    /// Shipping never moves more fabric bytes than pulling, for any layout.
+    /// Shipping never moves more fabric bytes than fetching, for any
+    /// requester: at most one 8-byte partial per remote holder.
     #[test]
     fn shipping_never_moves_more_data(requester in 0u32..4) {
         let (mut p, mut f) = setup(8);
         let servers: Vec<NodeId> = (0..4).map(NodeId).collect();
         let v = DistVector::stripe_even(&mut p, 8 * FRAME_BYTES, &servers).unwrap();
-        let pull = reduce_timed(
-            &mut p, &mut f, SimTime::ZERO, NodeId(requester), &v, Strategy::Pull,
-            ScanParams::with_cores(4),
-        )
-        .unwrap();
-        let ship = reduce_timed(
-            &mut p, &mut f, SimTime::ZERO, NodeId(requester), &v, Strategy::Ship,
-            ScanParams::with_cores(4),
-        )
-        .unwrap();
-        prop_assert!(ship.fabric_bytes <= pull.fabric_bytes);
+        let params = ScanParams::with_cores(4);
+        let (_, fetch, _) = forced_sum(
+            &mut p, &mut f, SimTime::ZERO, NodeId(requester), &v, Choice::Fetch, params,
+        );
+        let (_, ship, _) = forced_sum(
+            &mut p, &mut f, SimTime::ZERO, NodeId(requester), &v, Choice::Ship, params,
+        );
+        prop_assert!(ship.fabric_bytes <= fetch.fabric_bytes);
         prop_assert!(ship.fabric_bytes <= 3 * 8, "three remote partials max");
     }
 
-    /// `reduce_timed` is the timing of a forced pushdown plan: a Pull is
-    /// `execute` on `plan.forced(Choice::Fetch)` and a Ship is `execute` on
-    /// `plan.forced(Choice::Ship)`, down to the rack snapshot, for any
-    /// holder set, length, requester, pacing, link and background load.
-    ///
-    /// The vectors hold one stripe per holder. On a holder with several
-    /// stripes the two differ: `reduce_timed` ships one 8-byte partial per
-    /// holder, while `execute` ships 8 bytes per shipped segment.
+    /// A forced fetch costs exactly one `scan_ranges` over the vector's
+    /// stripes concatenated in logical order, so the requester's cores
+    /// share one budget however many stripes there are. Checked down to
+    /// the rack snapshot, for any holders (repeats included), length,
+    /// requester, pacing, link and background load.
     #[test]
-    fn reduce_timed_equals_forced_plan(
-        holders in 1u32..=4,
-        first in 0u32..4,
-        len in 1u64..4 * FRAME_BYTES,
+    fn forced_fetch_is_one_scan_over_the_stripes(
+        holders in proptest::collection::vec(0u32..4, 1..5),
+        len in 1u64..=2 * FRAME_BYTES,
         requester in 0u32..4,
         cores in 1u32..16,
         chunk_kb in 16u64..4096,
         link1 in any::<bool>(),
         bg_mib in prop_oneof![Just(0u64), 1u64..64],
     ) {
-        let servers: Vec<NodeId> = (0..holders).map(|i| NodeId((first + i) % 4)).collect();
+        let servers: Vec<NodeId> = holders.iter().map(|&h| NodeId(h)).collect();
         let params = ScanParams {
             cores,
             chunk: chunk_kb * 1024,
@@ -168,7 +191,7 @@ proptest! {
             let link = if link1 { LinkProfile::link1() } else { LinkProfile::link0() };
             let mut f = Fabric::new(link, 4);
             p.attach_telemetry();
-            let v = DistVector::stripe_even(&mut p, len * holders as u64, &servers).unwrap();
+            let v = DistVector::stripe_even(&mut p, len * servers.len() as u64, &servers).unwrap();
             if bg_mib > 0 {
                 for h in &servers {
                     f.write(SimTime::ZERO, *h, NodeId((h.0 + 1) % 4), bg_mib * MIB);
@@ -176,26 +199,106 @@ proptest! {
             }
             (p, f, v)
         };
-        let op = Operator::Aggregate(ReduceOp::Sum);
-        let planner = Planner::new(params, 0.0);
         let start = SimTime::from_nanos(1_000);
-        for (strategy, choice) in [(Strategy::Pull, Choice::Fetch), (Strategy::Ship, Choice::Ship)] {
-            let (mut p, mut f, v) = world();
-            let timed = reduce_timed(&mut p, &mut f, start, NodeId(requester), &v, strategy, params)
-                .unwrap();
-            let timed_rack = rack_snapshot(&mut p, &mut f, timed.complete).to_json();
 
-            let (mut p, mut f, v) = world();
-            let plan = planner.plan(&mut p, &f, start, NodeId(requester), &v, op).unwrap();
-            let (_, planned) = planner
-                .execute(&mut p, &mut f, start, NodeId(requester), op, &plan.forced(choice))
-                .unwrap();
-            let planned_rack = rack_snapshot(&mut p, &mut f, planned.complete).to_json();
+        let (mut p, mut f, v) = world();
+        let ranges: Vec<(SegmentId, u64, u64)> =
+            v.stripes.iter().map(|(_, seg, len)| (*seg, 0, *len)).collect();
+        let scan = scan_ranges(&mut p, &mut f, start, NodeId(requester), &ranges, params).unwrap();
+        let scan_rack = rack_snapshot(&mut p, &mut f, scan.complete).to_json();
 
-            prop_assert_eq!(timed.complete, planned.complete, "{:?}", strategy);
-            prop_assert_eq!(timed.fabric_bytes, planned.fabric_bytes, "{:?}", strategy);
-            prop_assert_eq!(timed.local_bytes, planned.local_bytes, "{:?}", strategy);
-            prop_assert_eq!(timed_rack, planned_rack, "{:?}", strategy);
-        }
+        let (mut p, mut f, v) = world();
+        let (_, fetch, _) =
+            forced_sum(&mut p, &mut f, start, NodeId(requester), &v, Choice::Fetch, params);
+        let fetch_rack = rack_snapshot(&mut p, &mut f, fetch.complete).to_json();
+
+        prop_assert_eq!(scan.complete, fetch.complete);
+        prop_assert_eq!(scan.remote_bytes, fetch.fabric_bytes);
+        prop_assert_eq!(scan.local_bytes, fetch.local_bytes);
+        prop_assert_eq!(scan_rack, fetch_rack);
+    }
+}
+
+#[test]
+fn shipping_beats_fetching_on_distributed_data() {
+    let servers: Vec<NodeId> = (0..4).map(NodeId).collect();
+    let len = 64 * FRAME_BYTES;
+    let run = |choice| {
+        let (mut p, mut f) = setup(64);
+        let v = DistVector::stripe_even(&mut p, len, &servers).unwrap();
+        let (_, out, plan) = forced_sum(
+            &mut p,
+            &mut f,
+            SimTime::ZERO,
+            NodeId(0),
+            &v,
+            choice,
+            ScanParams::default(),
+        );
+        assert_eq!((plan.stale_holders, out.stale_holders), (0, 0));
+        out
+    };
+    let (fetch, ship) = (run(Choice::Fetch), run(Choice::Ship));
+    assert!(
+        ship.complete < fetch.complete,
+        "{} vs {}",
+        ship.complete,
+        fetch.complete
+    );
+    // Shipping moves one 8-byte partial per remote holder; fetching moves
+    // the three remote stripes.
+    assert_eq!(ship.fabric_bytes, 3 * 8);
+    assert_eq!(fetch.fabric_bytes, len * 3 / 4);
+    // Aggregate shipped bandwidth approaches servers × local DRAM.
+    let bw = Bandwidth::measured(len, ship.complete.saturating_duration_since(SimTime::ZERO));
+    assert!(
+        bw.as_gbps() > 300.0,
+        "aggregate near-memory bandwidth only {bw}"
+    );
+}
+
+#[test]
+fn shipping_one_local_stripe_equals_fetching_it() {
+    let params = ScanParams {
+        cores: 4,
+        chunk: MIB,
+        ..ScanParams::default()
+    };
+    let run = |choice| {
+        let (mut p, mut f) = setup(16);
+        let v = DistVector::stripe_even(&mut p, 4 * FRAME_BYTES, &[NodeId(0)]).unwrap();
+        forced_sum(&mut p, &mut f, SimTime::ZERO, NodeId(0), &v, choice, params).1
+    };
+    let ship = run(Choice::Ship);
+    assert_eq!(ship, run(Choice::Fetch));
+    assert_eq!(ship.fabric_bytes, 0);
+}
+
+#[test]
+fn plan_time_stale_holder_is_resolved_and_counted() {
+    let (mut p, mut f) = setup(16);
+    p.attach_telemetry();
+    let v = DistVector::stripe_even(&mut p, 4 * FRAME_BYTES, &[NodeId(1), NodeId(2)]).unwrap();
+    // Move the first stripe after the vector recorded its holder: the
+    // balancer/recovery race a plan must survive.
+    migrate_segment(&mut p, &mut f, SimTime::ZERO, v.stripes[0].1, NodeId(3)).unwrap();
+    let start = SimTime::from_nanos(10_000_000);
+    for stale_count in [1, 2] {
+        let (_, ship, plan) = forced_sum(
+            &mut p,
+            &mut f,
+            start,
+            NodeId(0),
+            &v,
+            Choice::Ship,
+            ScanParams::with_cores(4),
+        );
+        // Each plan counts the still-stale record again; the plan holds the
+        // live holder, so execute finds nothing more.
+        assert_eq!((plan.stale_holders, ship.stale_holders), (1, 0));
+        assert_eq!(p.telemetry().unwrap().stale_holders(), stale_count);
+        // The relocated stripe ran on its *new* holder: only the two
+        // 8-byte partials crossed the fabric.
+        assert_eq!(ship.fabric_bytes, 2 * 8);
     }
 }

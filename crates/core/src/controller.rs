@@ -101,7 +101,7 @@ impl SizingController {
     /// working set is the set of frames it touched anywhere in the rack,
     /// its priority the (capped) decayed access count — so the solver
     /// favours the accessors that are actually hitting the pool hardest.
-    pub fn derive_demands(&self, pool: &LogicalPool) -> Vec<AppDemand> {
+    fn derive_demands(&self, pool: &LogicalPool) -> Vec<AppDemand> {
         let mut demands = Vec::new();
         for acc in 0..pool.servers() {
             let mut frames = 0u64;

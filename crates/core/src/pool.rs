@@ -298,7 +298,7 @@ impl LogicalPool {
     }
 
     /// The band `tenant`'s traffic rides ([`Band::Normal`] by default).
-    pub fn tenant_band(&self, tenant: TenantId) -> Band {
+    fn tenant_band(&self, tenant: TenantId) -> Band {
         self.qos
             .as_deref()
             .and_then(|q| q.bands.get(&tenant).copied())
@@ -614,8 +614,9 @@ impl LogicalPool {
     /// tenant's priority band. A rejected op charges nothing — no
     /// counters, DRAM occupancy, or fabric traffic — and surfaces as the
     /// recoverable [`PoolError::AdmissionRejected`]. A malformed op is
-    /// refused before admission and spends no token; see
-    /// [`LogicalPool::access_batch_as`].
+    /// refused before admission and spends no token; an op that fails after
+    /// admission, on a crashed holder or a downed fabric port, has spent
+    /// its token.
     #[allow(clippy::too_many_arguments)]
     pub fn access_as(
         &mut self,
@@ -643,7 +644,7 @@ impl LogicalPool {
     /// out-of-bounds op, unknown segment) is refused before admission and
     /// spends no token. A batch that fails after admission, on a crashed
     /// holder or a downed fabric port, has spent its tokens.
-    pub fn access_batch_as(
+    fn access_batch_as(
         &mut self,
         fabric: &mut Fabric,
         now: SimTime,
@@ -667,7 +668,7 @@ impl LogicalPool {
     /// [`LogicalPool::access_batch`] with an explicit fabric priority
     /// band. With bands disabled on the fabric (the default) the band is
     /// ignored and the schedule is byte-identical to the plain path.
-    pub fn access_batch_banded(
+    fn access_batch_banded(
         &mut self,
         fabric: &mut Fabric,
         now: SimTime,
@@ -1018,12 +1019,12 @@ impl LogicalPool {
     /// runs in address order, borrowed from the holder's frames without a
     /// copy. Bounds, the segment, the holder's liveness and every frame are
     /// checked before the first run exists, so a read that fails yields
-    /// nothing. A frame's bytes past its written prefix, and all of an
-    /// unmaterialized frame, read as zeros, lent in pieces of at most
-    /// 4 KiB. Runs start on the read's start, on frame boundaries and on
-    /// the page boundary that ends a frame's prefix, so a read at an
-    /// 8-aligned offset yields runs of whole u64 elements except for a
-    /// short tail at its end.
+    /// nothing. Each frame the read covers yields its written prefix as
+    /// [`ReadRun::Bytes`], then the rest as one [`ReadRun::Zeros`]; an
+    /// unmaterialized frame is one `Zeros` run. Runs start on the read's
+    /// start, on frame boundaries and on the page boundary that ends a
+    /// frame's prefix, so a read at an 8-aligned offset yields runs of
+    /// whole u64 elements except for a short tail at its end.
     pub fn read_runs(&self, addr: LogicalAddr, len: u64) -> Result<ReadRuns<'_>, PoolError> {
         let loc = self.check_bounds(addr, len)?;
         let node = &self.nodes[loc.server.0 as usize];
@@ -1057,7 +1058,10 @@ impl LogicalPool {
         let runs = self.read_runs(addr, len)?;
         let mut out = Vec::with_capacity(len as usize);
         for run in runs {
-            out.extend_from_slice(run);
+            match run {
+                ReadRun::Bytes(bytes) => out.extend_from_slice(bytes),
+                ReadRun::Zeros(n) => out.resize(out.len() + n, 0),
+            }
         }
         Ok(out)
     }
@@ -1298,8 +1302,14 @@ impl LogicalPool {
     }
 }
 
-/// Zeros lent out for the unwritten bytes of frames.
-static ZEROS: [u8; 4096] = [0; 4096];
+/// One run of a borrowed read, from [`LogicalPool::read_runs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadRun<'a> {
+    /// Bytes lent from a frame's written prefix.
+    Bytes(&'a [u8]),
+    /// This many bytes past a frame's written prefix, which read as zeros.
+    Zeros(usize),
+}
 
 /// The runs of one checked read, from [`LogicalPool::read_runs`].
 #[derive(Debug)]
@@ -1311,34 +1321,33 @@ pub struct ReadRuns<'a> {
     within: usize,
     /// Bytes of frames not yet visited.
     left: usize,
-    /// Zero bytes still owed from the frame being visited: its bytes past
-    /// the written prefix, or all of them while it is unmaterialized.
+    /// Zero bytes owed from the frame just lent: its bytes past the
+    /// written prefix.
     zeros: usize,
 }
 
 impl<'a> Iterator for ReadRuns<'a> {
-    type Item = &'a [u8];
+    type Item = ReadRun<'a>;
 
-    fn next(&mut self) -> Option<&'a [u8]> {
-        if self.zeros == 0 {
-            let frame = *self.frames.next()?;
-            let within = std::mem::take(&mut self.within);
-            let chunk = self.left.min(FRAME_BYTES as usize - within);
-            self.left -= chunk;
-            let written = self
-                .node
-                .frame_bytes(frame)
-                .and_then(|p| p.get(within..))
-                .unwrap_or(&[]);
-            let run = &written[..chunk.min(written.len())];
-            self.zeros = chunk - run.len();
-            if !run.is_empty() {
-                return Some(run);
-            }
+    fn next(&mut self) -> Option<ReadRun<'a>> {
+        if self.zeros > 0 {
+            return Some(ReadRun::Zeros(std::mem::take(&mut self.zeros)));
         }
-        let n = self.zeros.min(ZEROS.len());
-        self.zeros -= n;
-        Some(&ZEROS[..n])
+        let frame = *self.frames.next()?;
+        let within = std::mem::take(&mut self.within);
+        let chunk = self.left.min(FRAME_BYTES as usize - within);
+        self.left -= chunk;
+        let written = self
+            .node
+            .frame_bytes(frame)
+            .and_then(|p| p.get(within..))
+            .unwrap_or(&[]);
+        let run = &written[..chunk.min(written.len())];
+        if run.is_empty() {
+            return Some(ReadRun::Zeros(chunk));
+        }
+        self.zeros = chunk - run.len();
+        Some(ReadRun::Bytes(run))
     }
 }
 
@@ -1518,45 +1527,53 @@ mod tests {
         p.write_bytes(LogicalAddr::new(seg, 5), b"head").unwrap();
         p.write_bytes(LogicalAddr::new(seg, FRAME_BYTES + 4088), b"pagetail")
             .unwrap();
-        let concat = |addr: LogicalAddr, len: u64| -> (Vec<u8>, Vec<usize>) {
-            let runs: Vec<&[u8]> = p.read_runs(addr, len).unwrap().collect();
-            (runs.concat(), runs.iter().map(|r| r.len()).collect())
+        let cold = p.alloc(5 * FRAME_BYTES, Placement::On(NodeId(2))).unwrap();
+        // The read's bytes (`read_bytes` copies the runs), and each run's
+        // length, negated for a `Zeros` run.
+        let concat = |addr: LogicalAddr, len: u64| -> (Vec<u8>, Vec<i64>) {
+            let runs = p.read_runs(addr, len).unwrap();
+            let shape = runs
+                .map(|r| match r {
+                    ReadRun::Bytes(b) => b.len() as i64,
+                    ReadRun::Zeros(n) => -(n as i64),
+                })
+                .collect();
+            (p.read_bytes(addr, len).unwrap(), shape)
         };
         // Across the frame boundary: one run per frame.
         let addr = LogicalAddr::new(seg, FRAME_BYTES - 40);
-        let (bytes, lens) = concat(addr, 80);
-        assert_eq!(bytes, p.read_bytes(addr, 80).unwrap());
+        let (bytes, shape) = concat(addr, 80);
         assert_eq!(&bytes[8..72], &fill[..]);
-        assert_eq!(lens, vec![40, 40]);
+        assert_eq!(shape, vec![40, 40]);
         // Across the end of frame 1's written prefix: the prefix, then
         // zeros.
         let addr = LogicalAddr::new(seg, FRAME_BYTES + 4096 - 24);
-        let (bytes, lens) = concat(addr, 100);
-        assert_eq!(bytes, p.read_bytes(addr, 100).unwrap());
+        let (bytes, shape) = concat(addr, 100);
         assert_eq!(&bytes[16..24], b"pagetail");
         assert!(bytes[..16].iter().chain(&bytes[24..]).all(|&b| b == 0));
-        assert_eq!(lens, vec![24, 76]);
-        // Into and across the unmaterialized frame: zeros, in pieces no
-        // larger than the static zero buffer, never crossing a frame.
-        let addr = LogicalAddr::new(seg, 2 * FRAME_BYTES - 100);
-        let (bytes, lens) = concat(addr, 10_000);
-        assert_eq!(bytes, p.read_bytes(addr, 10_000).unwrap());
-        assert!(bytes.iter().all(|&b| b == 0));
-        assert_eq!(lens, vec![100, 4096, 4096, 1708]);
-        // The whole segment, and an empty read.
+        assert_eq!(shape, vec![24, -76]);
+        // From inside frame 1's prefix across the unmaterialized frame:
+        // one zero run per frame, however long.
+        let addr = LogicalAddr::new(seg, FRAME_BYTES + 4000);
+        let (_, shape) = concat(addr, 2 * FRAME_BYTES - 4000);
+        let f = FRAME_BYTES as i64;
+        assert_eq!(shape, vec![96, -(f - 4096), -f]);
+        // The whole segment: frame 0 backed whole, frame 1's one-page
+        // prefix and its zero tail, frame 2 one zero run.
         let whole = LogicalAddr::new(seg, 0);
-        let (bytes, lens) = concat(whole, 3 * FRAME_BYTES);
-        assert_eq!(bytes, p.read_bytes(whole, 3 * FRAME_BYTES).unwrap());
+        let (bytes, shape) = concat(whole, 3 * FRAME_BYTES);
         let mut want = vec![0u8; 3 * FRAME_BYTES as usize];
         want[5..9].copy_from_slice(b"head");
-        let f = FRAME_BYTES as usize;
-        want[f - 32..f + 32].copy_from_slice(&fill);
-        want[f + 4088..f + 4096].copy_from_slice(b"pagetail");
+        let fu = FRAME_BYTES as usize;
+        want[fu - 32..fu + 32].copy_from_slice(&fill);
+        want[fu + 4088..fu + 4096].copy_from_slice(b"pagetail");
         assert!(bytes == want, "prefixes, then zeros");
-        // Whole elements everywhere: frame 0 is backed whole, frame 1's
-        // prefix is one page, and the zeros come in 4 KiB pieces.
-        assert!(lens.iter().all(|n| n % 8 == 0));
-        assert_eq!(&lens[..3], &[f, 4096, 4096]);
+        assert_eq!(shape, vec![f, 4096, -(f - 4096), -f]);
+        // An unmaterialized read of N frames yields exactly N runs.
+        let (bytes, shape) = concat(LogicalAddr::new(cold, 8), 5 * FRAME_BYTES - 8);
+        assert!(bytes.iter().all(|&b| b == 0));
+        assert_eq!(shape, vec![-(f - 8), -f, -f, -f, -f]);
+        // An empty read yields nothing.
         assert_eq!(p.read_runs(LogicalAddr::new(seg, 7), 0).unwrap().count(), 0);
     }
 

@@ -77,7 +77,6 @@ pub struct ServerRuntime {
     next_va: u64,
     /// base VA → mapping; ranges never overlap.
     maps: BTreeMap<u64, Mapping>,
-    mapped_bytes: Counter,
 }
 
 impl ServerRuntime {
@@ -87,7 +86,6 @@ impl ServerRuntime {
             server,
             next_va: VA_BASE,
             maps: BTreeMap::new(),
-            mapped_bytes: Counter::new(),
         }
     }
 
@@ -119,7 +117,6 @@ impl ServerRuntime {
         // Keep mappings frame-aligned like mmap.
         self.next_va += len.div_ceil(FRAME_BYTES) * FRAME_BYTES;
         self.maps.insert(base, Mapping { segment, len });
-        self.mapped_bytes.add(len);
         VirtAddr(base)
     }
 

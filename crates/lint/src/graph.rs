@@ -6,8 +6,8 @@
 //! links to *every* non-test library `fn foo`. That over-approximates —
 //! which is the correct direction for a coverage gate (a spurious edge can
 //! only widen the enforced set, never silently shrink it). `Qual::foo`
-//! path calls are narrowed to items whose enclosing `impl`/`mod` matches
-//! `Qual` when any exist.
+//! path calls, and `self.foo` calls inside `impl Qual`, are narrowed to
+//! items whose enclosing `impl`/`mod` matches `Qual` when any exist.
 
 use crate::items::{CallKind, FileItems, FnItem};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -91,7 +91,8 @@ impl Graph {
                     CallKind::Path => {
                         // Narrow to the named qual when that matches
                         // anything; otherwise keep every candidate (the
-                        // qual may be a module alias we can't see).
+                        // qual may be a module alias we can't see, or a
+                        // `self` method may come from a trait).
                         let narrowed: Vec<usize> = cands
                             .iter()
                             .copied()
@@ -225,6 +226,26 @@ mod tests {
         let make = g.named("make")[0];
         assert_eq!(g.edges[make].len(), 1);
         assert_eq!(g.nodes[g.edges[make][0]].item.qual, "Pool");
+    }
+
+    #[test]
+    fn self_calls_narrow_to_the_enclosing_impl() {
+        let g = build(&[(
+            "crates/a/src/lib.rs",
+            "impl Cache { fn tick(&mut self) {} pub fn get(&mut self) { self.tick(); self.flush(); } }\n\
+             impl Controller { pub fn tick(&mut self) {} }\n\
+             impl Sink { pub fn flush(&mut self) {} }\n\
+             trait Clock { fn now(&mut self) { self.tick(); } }\n",
+        )]);
+        let quals = |f: &str| -> Vec<&str> {
+            let callee = |&t: &usize| g.nodes[t].item.qual.as_str();
+            g.edges[g.named(f)[0]].iter().map(callee).collect()
+        };
+        // `tick` resolves to Cache's own; Cache has no `flush`, so that
+        // call keeps every candidate. In a trait's default method `self`
+        // is any implementor.
+        assert_eq!(quals("get"), ["Cache", "Sink"]);
+        assert_eq!(quals("now"), ["Cache", "Controller"]);
     }
 
     #[test]

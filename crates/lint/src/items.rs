@@ -18,7 +18,8 @@ pub(crate) enum CallKind {
     Free,
     /// `recv.foo(...)` — a method call; the receiver type is unknown.
     Method,
-    /// `Qual::foo(...)` — a path call; `qual` narrows resolution.
+    /// `Qual::foo(...)`, or `self.foo(...)` inside `impl Qual` — a
+    /// qualified call; `qual` narrows resolution.
     Path,
 }
 
@@ -26,7 +27,8 @@ pub(crate) enum CallKind {
 #[derive(Debug, Clone)]
 pub(crate) struct CallSite {
     pub(crate) name: String,
-    /// The `Qual` in `Qual::foo(...)`, when present.
+    /// The `Qual` in `Qual::foo(...)`, or the enclosing impl's type for
+    /// `self.foo(...)`.
     pub(crate) qual: Option<String>,
     pub(crate) kind: CallKind,
 }
@@ -146,9 +148,10 @@ pub(crate) fn extract(p: &Prepared) -> FileItems {
     let flat = &p.flat;
     let mut out = FileItems::default();
 
-    // Scope stack: (brace depth at which the scope closes, qualifier).
+    // Scope stack: (brace depth at which the scope closes, qualifier,
+    // whether the scope is an `impl`).
     let mut depth = 0usize;
-    let mut scopes: Vec<(usize, String)> = Vec::new();
+    let mut scopes: Vec<(usize, String, bool)> = Vec::new();
     let mut i = 0usize;
     while i < flat.len() {
         match &flat[i].0 {
@@ -157,7 +160,7 @@ pub(crate) fn extract(p: &Prepared) -> FileItems {
                 i += 1;
             }
             Tok::Punct('}') => {
-                if scopes.last().map(|(d, _)| *d) == Some(depth) {
+                if scopes.last().map(|(d, _, _)| *d) == Some(depth) {
                     scopes.pop();
                 }
                 depth = depth.saturating_sub(1);
@@ -199,7 +202,7 @@ pub(crate) fn extract(p: &Prepared) -> FileItems {
                 }
                 if j < flat.len() && fpunct(flat, j, '{') {
                     // The scope closes when depth drops back below this.
-                    scopes.push((depth + 1, qual));
+                    scopes.push((depth + 1, qual, w == "impl"));
                 }
                 i = j; // The `{`/`;` is re-handled by the outer loop.
             }
@@ -292,7 +295,7 @@ pub(crate) fn extract(p: &Prepared) -> FileItems {
                 }
                 let mut item = FnItem {
                     name: name.to_string(),
-                    qual: scopes.last().map(|(_, q)| q.clone()).unwrap_or_default(),
+                    qual: scopes.last().map(|(_, q, _)| q.clone()).unwrap_or_default(),
                     line: fn_line_idx + 1,
                     is_pub,
                     is_test: p.in_test[fn_line_idx],
@@ -305,7 +308,14 @@ pub(crate) fn extract(p: &Prepared) -> FileItems {
                 if j < flat.len() && fpunct(flat, j, '{') {
                     let end = skip_braces(flat, j);
                     item.body = Some((j, end));
-                    collect_calls(flat, j, end, &mut item);
+                    // `self.foo(...)` names the enclosing impl's type. In a
+                    // trait's default method it names any implementor, so
+                    // it stays unqualified there.
+                    let impl_qual = match scopes.last() {
+                        Some((_, q, true)) => Some(q.as_str()),
+                        _ => None,
+                    };
+                    collect_calls(flat, j, end, impl_qual, &mut item);
                     i = end;
                 } else {
                     i = j.max(i + 1);
@@ -320,8 +330,15 @@ pub(crate) fn extract(p: &Prepared) -> FileItems {
     out
 }
 
-/// Collect call sites and uppercase mentions in `flat[start..end]`.
-fn collect_calls(flat: &[FTok], start: usize, end: usize, item: &mut FnItem) {
+/// Collect call sites and uppercase mentions in `flat[start..end]`, the
+/// body of a fn inside `impl_qual` when that is `Some`.
+fn collect_calls(
+    flat: &[FTok],
+    start: usize,
+    end: usize,
+    impl_qual: Option<&str>,
+    item: &mut FnItem,
+) {
     for i in start..end.min(flat.len()) {
         let Some(w) = fword(flat, i) else { continue };
         if w.starts_with(char::is_uppercase) {
@@ -346,7 +363,14 @@ fn collect_calls(flat: &[FTok], start: usize, end: usize, item: &mut FnItem) {
         if i > 0 && fpunct(flat, i - 1, '!') {
             continue;
         }
-        if i > 0 && fpunct(flat, i - 1, '.') {
+        let on_self = i >= 2 && fpunct(flat, i - 1, '.') && fword(flat, i - 2) == Some("self");
+        if let Some(q) = impl_qual.filter(|_| on_self) {
+            item.calls.push(CallSite {
+                name: w.to_string(),
+                qual: Some(q.to_string()),
+                kind: CallKind::Path,
+            });
+        } else if i > 0 && fpunct(flat, i - 1, '.') {
             item.calls.push(CallSite {
                 name: w.to_string(),
                 qual: None,

@@ -6,7 +6,9 @@
 //! sit behind cross-file free-fn, inherent-method, and trait-impl edges.
 //! The analysis must walk all three edge kinds from the single
 //! recoverable seed, report full chains, and leave the unreachable
-//! panic and the registry-owning constructor unflagged.
+//! panic and the registry-owning constructor unflagged. A `self.name()`
+//! call resolves to the enclosing impl's `name`, or to every `name` when
+//! that impl has none.
 
 use std::path::Path;
 
@@ -19,6 +21,7 @@ fn fixture_workspace() -> Vec<(String, String)> {
     let rels = [
         "crates/alpha/src/api.rs",
         "crates/alpha/src/util.rs",
+        "crates/beta/src/clock.rs",
         "crates/beta/src/imp.rs",
         "crates/beta/src/metrics.rs",
     ];
@@ -54,9 +57,10 @@ fn panics_behind_all_three_edge_kinds_are_reported() {
         got,
         vec![
             ("crates/alpha/src/api.rs", 19, "swallowed-error"),
-            ("crates/beta/src/imp.rs", 8, "no-panic"),   // inherent method
-            ("crates/beta/src/imp.rs", 18, "no-panic"),  // trait impl
-            ("crates/beta/src/imp.rs", 23, "no-panic"),  // free fn
+            ("crates/beta/src/clock.rs", 37, "eager-metric"), // self fallback
+            ("crates/beta/src/imp.rs", 8, "no-panic"),        // inherent method
+            ("crates/beta/src/imp.rs", 18, "no-panic"),       // trait impl
+            ("crates/beta/src/imp.rs", 23, "no-panic"),       // free fn
             ("crates/beta/src/metrics.rs", 16, "eager-metric"),
         ]
     );
@@ -73,6 +77,29 @@ fn unreachable_panic_and_registry_owner_stay_quiet() {
         .findings
         .iter()
         .any(|f| f.file.ends_with("metrics.rs") && f.line != 16));
+}
+
+#[test]
+fn self_calls_resolve_to_the_enclosing_impl_first() {
+    let a = run();
+    let clock: Vec<&lmp_lint::Finding> = a
+        .findings
+        .iter()
+        .filter(|f| f.file.ends_with("clock.rs"))
+        .collect();
+    // `self.tick()` in `Clock` reaches `Clock::tick` only, so
+    // `Controller::tick`'s registration (line 28) stays quiet. `Clock` has
+    // no `flush`, so `self.flush()` reaches `Journal::flush` (line 37).
+    assert_eq!(clock.len(), 1, "{clock:?}");
+    assert_eq!(clock[0].line, 37);
+    assert_eq!(
+        clock[0].chain,
+        vec![
+            "Clock::new (crates/beta/src/clock.rs:7)",
+            "Clock::prime (crates/beta/src/clock.rs:13)",
+            "Journal::flush (crates/beta/src/clock.rs:36)",
+        ]
+    );
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example near_memory`
 
-use lmp::compute::{reduce_timed, reduce_value, DistVector, ReduceOp, ScanParams, Strategy};
+use lmp::compute::{Choice, DistVector, OpOutput, Operator, Planner, ReduceOp, ScanParams};
 use lmp::core::prelude::*;
 use lmp::fabric::{Fabric, LinkProfile, NodeId};
 use lmp::mem::{DramProfile, FRAME_BYTES};
@@ -41,19 +41,28 @@ fn build() -> (LogicalPool, Fabric, DistVector) {
 fn main() {
     println!("distributed sum over a 32 MiB vector striped across 4 servers\n");
     let mut reference = None;
-    for (name, strategy) in [("pull", Strategy::Pull), ("ship", Strategy::Ship)] {
+    let op = Operator::Aggregate(ReduceOp::Sum);
+    let planner = Planner::new(ScanParams::default(), 0.0);
+    for (name, choice) in [("pull", Choice::Fetch), ("ship", Choice::Ship)] {
         let (mut pool, mut fabric, v) = build();
-        let timing = reduce_timed(
-            &mut pool,
-            &mut fabric,
-            SimTime::ZERO,
-            NodeId(0),
-            &v,
-            strategy,
-            ScanParams::default(),
-        )
-        .expect("reduction runs");
-        let value = reduce_value(&pool, &v, ReduceOp::Sum).expect("materialized sum");
+        // Plan, then force every remote stripe to one side: fetch pulls
+        // the data to server 0, ship runs the sum where each stripe lives.
+        let plan = planner
+            .plan(&mut pool, &fabric, SimTime::ZERO, NodeId(0), &v, op)
+            .expect("plan");
+        let (out, timing) = planner
+            .execute(
+                &mut pool,
+                &mut fabric,
+                SimTime::ZERO,
+                NodeId(0),
+                op,
+                &plan.forced(choice),
+            )
+            .expect("reduction runs");
+        let OpOutput::Scalar(value) = out else {
+            panic!("a sum is one scalar");
+        };
         println!(
             "{name:>4}: sum={value}  completion={}  fabric bytes={}",
             timing.complete.duration_since(SimTime::ZERO),

@@ -5,7 +5,7 @@
 //! the public API the way the examples and benches do.
 
 use lmp::cluster::{Cluster, ClusterConfig, ClusterError, PoolArch};
-use lmp::compute::{reduce_timed, reduce_value, DistVector, ReduceOp, ScanParams, Strategy};
+use lmp::compute::{Choice, DistVector, OpOutput, Operator, Planner, ReduceOp, ScanParams};
 use lmp::core::prelude::*;
 use lmp::fabric::{Fabric, LinkProfile, MemOp, NodeId};
 use lmp::mem::{DramProfile, FRAME_BYTES};
@@ -93,44 +93,51 @@ fn flexibility_scenario() {
 /// striped vector, end to end through pool + fabric + compute.
 #[test]
 fn compute_shipping_end_to_end() {
-    let mut pool = LogicalPool::new(PoolConfig {
-        servers: 4,
-        capacity_per_server: 24 * FRAME_BYTES,
-        shared_per_server: 16 * FRAME_BYTES,
-        dram: DramProfile::xeon_gold_5120(),
-        tlb_capacity: 64,
-    });
-    let mut fabric = Fabric::new(LinkProfile::link1(), 4);
     let servers: Vec<NodeId> = (0..4).map(NodeId).collect();
-    let v = DistVector::stripe_even(&mut pool, 8 * FRAME_BYTES, &servers).unwrap();
-    for (i, (_, seg, _)) in v.stripes.iter().enumerate() {
-        let vals: Vec<u8> = (i as u64 + 1).to_le_bytes().to_vec();
-        pool.write_bytes(LogicalAddr::new(*seg, 0), &vals).unwrap();
-    }
-    let expect = 1 + 2 + 3 + 4;
-    assert_eq!(reduce_value(&pool, &v, ReduceOp::Sum).unwrap(), expect);
-
-    let pull = reduce_timed(
-        &mut pool, &mut fabric, SimTime::ZERO, NodeId(0), &v, Strategy::Pull,
-        ScanParams { cores: 4, chunk: FRAME_BYTES, ..ScanParams::default() },
-    )
-    .unwrap();
-    let (mut pool2, mut fabric2) = (
-        LogicalPool::new(PoolConfig {
+    let op = Operator::Aggregate(ReduceOp::Sum);
+    let planner = Planner::new(
+        ScanParams {
+            cores: 4,
+            chunk: FRAME_BYTES,
+            ..ScanParams::default()
+        },
+        0.0,
+    );
+    // The same sum, planned and then forced to fetch or to ship, each in a
+    // fresh rack.
+    let run = |choice| {
+        let mut pool = LogicalPool::new(PoolConfig {
             servers: 4,
             capacity_per_server: 24 * FRAME_BYTES,
             shared_per_server: 16 * FRAME_BYTES,
             dram: DramProfile::xeon_gold_5120(),
             tlb_capacity: 64,
-        }),
-        Fabric::new(LinkProfile::link1(), 4),
-    );
-    let v2 = DistVector::stripe_even(&mut pool2, 8 * FRAME_BYTES, &servers).unwrap();
-    let ship = reduce_timed(
-        &mut pool2, &mut fabric2, SimTime::ZERO, NodeId(0), &v2, Strategy::Ship,
-        ScanParams { cores: 4, chunk: FRAME_BYTES, ..ScanParams::default() },
-    )
-    .unwrap();
+        });
+        let mut fabric = Fabric::new(LinkProfile::link1(), 4);
+        let v = DistVector::stripe_even(&mut pool, 8 * FRAME_BYTES, &servers).unwrap();
+        for (i, (_, seg, _)) in v.stripes.iter().enumerate() {
+            let vals: Vec<u8> = (i as u64 + 1).to_le_bytes().to_vec();
+            pool.write_bytes(LogicalAddr::new(*seg, 0), &vals).unwrap();
+        }
+        let plan = planner
+            .plan(&mut pool, &fabric, SimTime::ZERO, NodeId(0), &v, op)
+            .unwrap();
+        planner
+            .execute(
+                &mut pool,
+                &mut fabric,
+                SimTime::ZERO,
+                NodeId(0),
+                op,
+                &plan.forced(choice),
+            )
+            .unwrap()
+    };
+    let expect = OpOutput::Scalar(1 + 2 + 3 + 4);
+    let (pulled, pull) = run(Choice::Fetch);
+    let (shipped, ship) = run(Choice::Ship);
+    assert_eq!(pulled, expect);
+    assert_eq!(shipped, expect);
     assert!(ship.complete < pull.complete);
 }
 
