@@ -117,7 +117,7 @@ fn run(scheme: &str) -> Row {
     }
 
     // Crash server 0 and recover.
-    let affected = pool.crash_server(NodeId(0));
+    let affected = pool.crash_server(NodeId(0)).expect("known server");
     let report = pm.recover(&mut pool, &mut fabric, SimTime::ZERO, NodeId(0), &affected);
 
     Row {

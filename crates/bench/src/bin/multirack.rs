@@ -194,7 +194,7 @@ fn run_config(domain_aware: bool, racks: u32) -> ConfigRow {
     let detect = blackout + SimDuration::from_micros(2);
     let mut crashed = Vec::new();
     for n in domains.hosts_in(0) {
-        let mut affected = pool.crash_server(n);
+        let mut affected = pool.crash_server(n).expect("known server");
         affected.sort_unstable();
         fabric.set_port_down(n, true);
         crashed.push((n, affected));

@@ -92,11 +92,6 @@ pub mod gate {
             }
         }
 
-        /// The baseline's value for `key`.
-        pub fn baseline_for(&self, key: &str) -> Option<&str> {
-            json_field(&self.baseline, key)
-        }
-
         /// Fail the gate unless the baseline holds `got` under `key`.
         pub fn pin(&mut self, key: &str, got: &str) {
             match json_field(&self.baseline, key) {
@@ -107,7 +102,7 @@ pub mod gate {
         }
 
         /// Fail the gate, saying why on stderr.
-        pub fn reject(&mut self, why: &str) {
+        fn reject(&mut self, why: &str) {
             eprintln!("{}: {why}", self.bin);
             self.ok = false;
         }

@@ -611,7 +611,7 @@ mod tests {
                 .expect("vector spans servers"),
             _ => unreachable!(),
         };
-        c.logical_pool().unwrap().crash_server(victim);
+        c.logical_pool().unwrap().crash_server(victim).unwrap();
         // The scan fails with a recoverable error, never a panic.
         let err = c
             .scan_vector(SimTime::ZERO, NodeId(0), &h, ScanParams::default())

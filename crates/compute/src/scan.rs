@@ -12,7 +12,7 @@
 //! without its cache, in `lmp-cluster`. Once the loop settles into rounds
 //! that repeat relative to the clock, the engine skips whole rounds,
 //! applying their effects in bulk; every simulated number is the one
-//! stepping would produce ([`reference`] keeps the stepping loop as the
+//! stepping would produce ([`mod@reference`] keeps the stepping loop as the
 //! oracle). DESIGN.md §7 "Steady-state scan fast-forward" gives the rules.
 
 use lmp_core::prelude::*;

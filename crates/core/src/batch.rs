@@ -83,9 +83,9 @@ pub struct BatchResult {
 /// payload. Returns the scheduled ids in `holder_done` order (ascending
 /// node id). This is the canonical bridge between the scatter-gather
 /// access engine (which reports *when* each holder's stream drains) and
-/// the calendar-queue kernel (which wants the whole wave inserted at
-/// once): a batch touching H holders costs H queue insertions, not one
-/// per chunk or per op.
+/// the event engine (which queues the whole wave or none of it): a batch
+/// touching H holders costs H queue insertions, not one per chunk or per
+/// op.
 ///
 /// # Errors
 /// Propagates [`SchedulePastError`] if any completion time precedes the

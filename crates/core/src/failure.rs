@@ -648,7 +648,7 @@ mod tests {
         pm.mirror(&mut p, &mut f, SimTime::ZERO, seg).unwrap();
         pm.write(&mut p, addr, b"replicated!").unwrap();
 
-        let affected = p.crash_server(NodeId(0));
+        let affected = p.crash_server(NodeId(0)).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected);
         assert_eq!(report.promoted, vec![seg]);
         assert!(report.lost.is_empty());
@@ -689,7 +689,7 @@ mod tests {
         let parity = pm.groups[&gid].parity;
         assert_eq!(backed(&p, parity), 8192);
         // The copy rebuilt from parity is backed the same way.
-        let affected = p.crash_server(NodeId(1));
+        let affected = p.crash_server(NodeId(1)).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(1), &affected);
         assert_eq!(report.reconstructed, vec![a]);
         assert_eq!(backed(&p, a), 8192);
@@ -702,7 +702,7 @@ mod tests {
         let (mut p, mut f, mut pm) = setup(3);
         let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
         pm.mirror(&mut p, &mut f, SimTime::ZERO, seg).unwrap();
-        let affected = p.crash_server(NodeId(0));
+        let affected = p.crash_server(NodeId(0)).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected);
         assert_eq!(report.reprotected, vec![seg]);
         assert!(pm.replica(seg).is_some(), "protection re-established");
@@ -714,7 +714,7 @@ mod tests {
         let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
         let replica = pm.mirror(&mut p, &mut f, SimTime::ZERO, seg).unwrap();
         let replica_home = p.holder_of(replica).unwrap();
-        let affected = p.crash_server(replica_home);
+        let affected = p.crash_server(replica_home).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, replica_home, &affected);
         assert_eq!(report.reprotected, vec![seg]);
         let new_replica = pm.replica(seg).unwrap();
@@ -732,7 +732,7 @@ mod tests {
         pm.write(&mut p, LogicalAddr::new(a, 0), b"alpha-data").unwrap();
         pm.write(&mut p, LogicalAddr::new(b, 0), b"bravo-data").unwrap();
 
-        let affected = p.crash_server(NodeId(0));
+        let affected = p.crash_server(NodeId(0)).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected);
         assert_eq!(report.reconstructed, vec![a]);
         assert!(report.lost.is_empty());
@@ -751,12 +751,12 @@ mod tests {
             .unwrap();
         let parity = pm.groups[&gid].parity;
         let parity_home = p.holder_of(parity).unwrap();
-        let affected = p.crash_server(parity_home);
+        let affected = p.crash_server(parity_home).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, parity_home, &affected);
         assert_eq!(report.reprotected, vec![parity]);
         // Group still protects: crash a member next and recover it.
         pm.write(&mut p, LogicalAddr::new(b, 5), b"post-repair").unwrap();
-        let affected = p.crash_server(NodeId(1));
+        let affected = p.crash_server(NodeId(1)).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(1), &affected);
         assert_eq!(report.reconstructed, vec![b]);
         assert_eq!(
@@ -769,7 +769,7 @@ mod tests {
     fn unprotected_segments_are_lost() {
         let (mut p, mut f, mut pm) = setup(3);
         let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
-        let affected = p.crash_server(NodeId(1));
+        let affected = p.crash_server(NodeId(1)).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(1), &affected);
         assert_eq!(report.lost, vec![seg]);
         assert!(matches!(
@@ -804,7 +804,7 @@ mod tests {
         let b = p.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
         pm.protect_parity(&mut p, &mut f, SimTime::ZERO, &[a, b])
             .unwrap();
-        let affected = p.crash_server(NodeId(0));
+        let affected = p.crash_server(NodeId(0)).unwrap();
         // The surviving member's port flaps during recovery.
         f.set_port_down(NodeId(1), true);
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected);
@@ -862,7 +862,7 @@ mod tests {
             .unwrap();
         pm.write(&mut p, LogicalAddr::new(a, 0), b"fragile").unwrap();
 
-        let affected = p.crash_server(NodeId(0));
+        let affected = p.crash_server(NodeId(0)).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected);
         assert_eq!(report.reconstructed, vec![a]);
         assert_eq!(
@@ -891,13 +891,13 @@ mod tests {
         let b = p.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
         pm.protect_parity(&mut p, &mut f, SimTime::ZERO, &[a, b])
             .unwrap();
-        let affected = p.crash_server(NodeId(0));
+        let affected = p.crash_server(NodeId(0)).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected);
         assert_eq!(report.degraded_placement, vec![a]);
         let second_home = p.holder_of(a).unwrap();
         assert_eq!(second_home, p.holder_of(b).unwrap(), "co-located rebuild");
 
-        let affected = p.crash_server(second_home);
+        let affected = p.crash_server(second_home).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, second_home, &affected);
         let mut lost = report.lost.clone();
         lost.sort_unstable();
@@ -912,7 +912,7 @@ mod tests {
         let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
         pm.mirror(&mut p, &mut f, SimTime::ZERO, seg).unwrap();
         pm.write(&mut p, LogicalAddr::new(seg, 40), b"still-here").unwrap();
-        p.crash_server(NodeId(0));
+        p.crash_server(NodeId(0)).unwrap();
         f.set_port_down(NodeId(0), true);
         // No recovery has run: a plain read faults, a degraded read serves.
         assert!(matches!(
@@ -936,7 +936,7 @@ mod tests {
             .unwrap();
         pm.write(&mut p, LogicalAddr::new(a, 100), b"alpha-bytes").unwrap();
         pm.write(&mut p, LogicalAddr::new(b, 100), b"bravo-bytes").unwrap();
-        p.crash_server(NodeId(0));
+        p.crash_server(NodeId(0)).unwrap();
         f.set_port_down(NodeId(0), true);
         let r = pm
             .read_degraded(&p, &mut f, SimTime::ZERO, NodeId(3), LogicalAddr::new(a, 100), 11)
@@ -991,7 +991,7 @@ mod tests {
         );
         assert!(!before.to_json().contains("independence_lost"));
 
-        let affected = p.crash_server(NodeId(0));
+        let affected = p.crash_server(NodeId(0)).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected);
         assert_eq!(report.degraded_placement, vec![a]);
         let snap = p.telemetry().unwrap().snapshot();
@@ -1059,9 +1059,9 @@ mod tests {
         let rhome = p.holder_of(replica).unwrap();
 
         // Both hosts go down before any recovery runs.
-        let mut affected0 = p.crash_server(NodeId(0));
+        let mut affected0 = p.crash_server(NodeId(0)).unwrap();
         affected0.sort_unstable();
-        let mut affected1 = p.crash_server(rhome);
+        let mut affected1 = p.crash_server(rhome).unwrap();
         affected1.sort_unstable();
 
         let r0 = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected0);
@@ -1081,7 +1081,7 @@ mod tests {
     fn mirror_of_crashed_home_fails_without_leaking() {
         let (mut p, mut f, mut pm) = setup(3);
         let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
-        p.crash_server(NodeId(0));
+        p.crash_server(NodeId(0)).unwrap();
         let free_before: Vec<u64> = (1..3).map(|i| p.free_shared_frames(NodeId(i))).collect();
         assert!(matches!(
             pm.mirror(&mut p, &mut f, SimTime::ZERO, seg),
@@ -1106,7 +1106,7 @@ mod tests {
         // Overwrite a twice; parity must track the latest value.
         pm.write(&mut p, LogicalAddr::new(a, 0), b"v1").unwrap();
         pm.write(&mut p, LogicalAddr::new(a, 0), b"v2").unwrap();
-        let affected = p.crash_server(NodeId(0));
+        let affected = p.crash_server(NodeId(0)).unwrap();
         pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected);
         assert_eq!(p.read_bytes(LogicalAddr::new(a, 0), 2).unwrap(), b"v2");
     }

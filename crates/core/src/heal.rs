@@ -17,7 +17,7 @@
 
 use crate::addr::SegmentId;
 use crate::failure::{ProtectionManager, RecoveryReport};
-use crate::pool::LogicalPool;
+use crate::pool::{LogicalPool, PoolError};
 use lmp_fabric::{Fabric, NodeId};
 use lmp_sim::prelude::*;
 use std::collections::BTreeMap;
@@ -164,6 +164,10 @@ impl RecoveryOrchestrator {
     /// still maps to it are dropped (they were already rebuilt elsewhere
     /// or written off under a newer epoch), and any repair work still
     /// queued for it is cancelled.
+    ///
+    /// # Errors
+    /// [`PoolError::InvalidRequest`] for a node the pool does not know;
+    /// neither the pool nor the queued repair work changes.
     pub fn admit_rejoin(
         &mut self,
         pool: &mut LogicalPool,
@@ -171,24 +175,26 @@ impl RecoveryOrchestrator {
         node: NodeId,
         claimed_epoch: u64,
         warm: bool,
-    ) -> RejoinOutcome {
+    ) -> Result<RejoinOutcome, PoolError> {
+        // Refused here, before `may_resurrect` indexes by the node.
+        pool.check_server(node)?;
         if warm && membership.may_resurrect(node, claimed_epoch) {
             // Honored claim: DRAM survived the outage (the crash model
             // retains contents), so clear the failed flag and every
             // segment still mapped to the node resolves again.
-            pool.revive_server(node);
-            return RejoinOutcome {
+            pool.revive_server(node)?;
+            return Ok(RejoinOutcome {
                 resurrected: true,
                 dropped: Vec::new(),
-            };
+            });
         }
         let dropped = pool.global_map().segments_on(node);
         self.pending.remove(&node.0);
-        pool.restart_server(node);
-        RejoinOutcome {
+        pool.restart_server(node)?;
+        Ok(RejoinOutcome {
             resurrected: false,
             dropped,
-        }
+        })
     }
 }
 
@@ -226,7 +232,7 @@ mod tests {
         for &s in &segs {
             pm.mirror(&mut pool, &mut fabric, t0, s).unwrap();
         }
-        let affected = pool.crash_server(NodeId(0));
+        let affected = pool.crash_server(NodeId(0)).unwrap();
         fabric.set_port_down(NodeId(0), true);
         assert_eq!(affected.len(), 3);
 
@@ -254,7 +260,7 @@ mod tests {
         let (mut pool, mut fabric, mut pm) = setup(3);
         let seg = pool.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
         pm.mirror(&mut pool, &mut fabric, SimTime::ZERO, seg).unwrap();
-        pool.crash_server(NodeId(1));
+        pool.crash_server(NodeId(1)).unwrap();
         fabric.set_port_down(NodeId(1), true);
         let mut orch = RecoveryOrchestrator::new();
         orch.on_confirmed_down(&pool, NodeId(1), 7);
@@ -274,7 +280,7 @@ mod tests {
 
         let mut membership = Membership::new(4);
         let stale_epoch = membership.epoch(); // what n0 last saw
-        pool.crash_server(NodeId(0));
+        pool.crash_server(NodeId(0)).unwrap();
         let epoch = membership.confirm_down(NodeId(0));
         let mut orch = RecoveryOrchestrator::new();
         orch.on_confirmed_down(&pool, NodeId(0), epoch);
@@ -284,7 +290,9 @@ mod tests {
 
         // n0 returns claiming its pre-crash epoch and intact memory.
         membership.rejoin(NodeId(0));
-        let out = orch.admit_rejoin(&mut pool, &membership, NodeId(0), stale_epoch, true);
+        let out = orch
+            .admit_rejoin(&mut pool, &membership, NodeId(0), stale_epoch, true)
+            .unwrap();
         assert!(!out.resurrected, "stale claim must be refused");
         // The rebuilt copy stays authoritative at its new home.
         assert_eq!(pool.holder_of(seg), Some(rebuilt_home));
@@ -303,7 +311,9 @@ mod tests {
         pool.write_bytes(LogicalAddr::new(seg, 0), b"kept").unwrap();
         let membership = Membership::new(3);
         let mut orch = RecoveryOrchestrator::new();
-        let out = orch.admit_rejoin(&mut pool, &membership, NodeId(2), 0, true);
+        let out = orch
+            .admit_rejoin(&mut pool, &membership, NodeId(2), 0, true)
+            .unwrap();
         assert!(out.resurrected);
         assert!(out.dropped.is_empty());
         assert_eq!(pool.read_bytes(LogicalAddr::new(seg, 0), 4).unwrap(), b"kept");
@@ -316,7 +326,7 @@ mod tests {
         let protected = pool.alloc(FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
         let bare = pool.alloc(FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
         pm.mirror(&mut pool, &mut fabric, t0, protected).unwrap();
-        pool.crash_server(NodeId(0));
+        pool.crash_server(NodeId(0)).unwrap();
         fabric.set_port_down(NodeId(0), true);
 
         let mut membership = Membership::new(3);
@@ -328,12 +338,33 @@ mod tests {
         // segment's bookkeeping is dropped with the node...
         fabric.set_port_down(NodeId(0), false);
         membership.rejoin(NodeId(0));
-        let out = orch.admit_rejoin(&mut pool, &membership, NodeId(0), 0, false);
+        let out = orch
+            .admit_rejoin(&mut pool, &membership, NodeId(0), 0, false)
+            .unwrap();
         assert!(out.dropped.contains(&bare));
         // ...and the queue was cancelled with it: no repair runs, no panic.
         let done = orch.step(&mut pool, &mut fabric, &mut pm, t0, 8);
         assert!(done.is_empty());
         assert!(!orch.has_pending());
+    }
+
+    #[test]
+    fn rejoin_of_unknown_node_is_refused() {
+        let (mut pool, mut fabric, mut pm) = setup(3);
+        let seg = pool.alloc(FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
+        pm.mirror(&mut pool, &mut fabric, SimTime::ZERO, seg).unwrap();
+        pool.crash_server(NodeId(0)).unwrap();
+        let membership = Membership::new(3);
+        let mut orch = RecoveryOrchestrator::new();
+        orch.on_confirmed_down(&pool, NodeId(0), 1);
+        for node in [NodeId(3), NodeId(8)] {
+            for warm in [true, false] {
+                let out = orch.admit_rejoin(&mut pool, &membership, node, 0, warm);
+                assert_eq!(out, Err(PoolError::InvalidRequest("unknown server")));
+            }
+        }
+        assert!(orch.has_pending());
+        assert_eq!(pool.holder_of(seg), Some(NodeId(0)));
     }
 
     #[test]
@@ -349,7 +380,7 @@ mod tests {
         let cfg = HealthConfig::default_chaos();
         let mut det = FailureDetector::new(cfg, 4, SimTime::ZERO);
         let mut orch = RecoveryOrchestrator::new();
-        pool.crash_server(NodeId(1));
+        pool.crash_server(NodeId(1)).unwrap();
         fabric.set_port_down(NodeId(1), true);
 
         let mut t = cfg.probe_interval;

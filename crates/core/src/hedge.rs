@@ -493,7 +493,7 @@ mod tests {
         let b = p.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
         pm.protect_parity(&mut p, &mut f, SimTime::ZERO, &[a, b]).unwrap();
         pm.write(&mut p, LogicalAddr::new(a, 10), b"hedge-me").unwrap();
-        p.crash_server(NodeId(0));
+        p.crash_server(NodeId(0)).unwrap();
         f.set_port_down(NodeId(0), true);
         let r = hedged_read(
             &mut p,

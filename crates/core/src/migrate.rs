@@ -289,7 +289,7 @@ mod tests {
     fn migration_from_crashed_source_fails() {
         let (mut p, mut f) = setup();
         let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(0))).unwrap();
-        p.crash_server(NodeId(0));
+        p.crash_server(NodeId(0)).unwrap();
         let r = migrate_segment(&mut p, &mut f, SimTime::ZERO, seg, NodeId(1));
         assert_eq!(r, Err(PoolError::SegmentLost(seg)));
     }

@@ -363,8 +363,8 @@ mod tests {
             .place_member(&p, FRAME_BYTES, &[NodeId(0), NodeId(1)])
             .is_none());
         // With every server failed there is nothing to fall back to.
-        p.crash_server(NodeId(0));
-        p.crash_server(NodeId(1));
+        p.crash_server(NodeId(0)).unwrap();
+        p.crash_server(NodeId(1)).unwrap();
         assert!(policy.place_recovery(&p, FRAME_BYTES, &[]).is_none());
     }
 

@@ -1084,9 +1084,13 @@ impl LogicalPool {
     /// Crash a server. Its pool shard vanishes; segments homed there become
     /// lost (until a protection layer restores them). Returns the affected
     /// segments.
-    pub fn crash_server(&mut self, server: NodeId) -> Vec<SegmentId> {
+    ///
+    /// # Errors
+    /// [`PoolError::InvalidRequest`] for an unknown server; nothing changes.
+    pub fn crash_server(&mut self, server: NodeId) -> Result<Vec<SegmentId>, PoolError> {
+        self.check_server(server)?;
         self.nodes[server.0 as usize].crash();
-        self.global.segments_on(server)
+        Ok(self.global.segments_on(server))
     }
 
     /// Warm-revive a crashed server: memory contents and segment
@@ -1096,21 +1100,32 @@ impl LogicalPool {
     /// whose warm claim is rejected must go through
     /// [`Self::restart_server`] instead.
     ///
+    ///
+    /// # Errors
+    /// [`PoolError::InvalidRequest`] for an unknown server; nothing changes.
+    ///
     /// [`MemoryNode::crash`]: lmp_mem::MemoryNode::crash
-    pub fn revive_server(&mut self, server: NodeId) {
+    pub fn revive_server(&mut self, server: NodeId) -> Result<(), PoolError> {
+        self.check_server(server)?;
         self.nodes[server.0 as usize].revive();
+        Ok(())
     }
 
     /// Restart a crashed server with empty memory. Segments still mapped
     /// to it died with its DRAM, so their bookkeeping is dropped here:
     /// later accesses surface [`PoolError::UnknownSegment`] instead of
     /// resolving into the recycled empty frames.
-    pub fn restart_server(&mut self, server: NodeId) {
+    ///
+    /// # Errors
+    /// [`PoolError::InvalidRequest`] for an unknown server; nothing changes.
+    pub fn restart_server(&mut self, server: NodeId) -> Result<(), PoolError> {
+        self.check_server(server)?;
         for seg in self.global.segments_on(server) {
             self.drop_segment_bookkeeping(seg);
         }
         self.nodes[server.0 as usize].restart();
         self.locals[server.0 as usize] = LocalMap::new();
+        Ok(())
     }
 
     // ----- crate-internal hooks for migration & failure handling -----
@@ -1601,7 +1616,7 @@ mod tests {
             err(&p, LogicalAddr::new(seg, 0), u64::MAX),
             Some(PoolError::OutOfBounds { .. })
         ));
-        p.crash_server(NodeId(2));
+        p.crash_server(NodeId(2)).unwrap();
         assert_eq!(
             err(&p, LogicalAddr::new(seg, 0), 1),
             Some(PoolError::SegmentLost(seg))
@@ -1612,7 +1627,7 @@ mod tests {
     fn crash_makes_segments_lost() {
         let (mut p, mut f) = small_pool();
         let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(2))).unwrap();
-        let affected = p.crash_server(NodeId(2));
+        let affected = p.crash_server(NodeId(2)).unwrap();
         assert_eq!(affected, vec![seg]);
         let r = p.access(
             &mut f,
@@ -1631,8 +1646,8 @@ mod tests {
     fn restart_after_loss_unmaps_segments() {
         let (mut p, _) = small_pool();
         let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
-        p.crash_server(NodeId(1));
-        p.restart_server(NodeId(1));
+        p.crash_server(NodeId(1)).unwrap();
+        p.restart_server(NodeId(1)).unwrap();
         // The lost segment's id is gone, not silently resolving into the
         // restarted server's empty memory.
         assert!(matches!(
@@ -1835,9 +1850,10 @@ mod tests {
     type Request<T> =
         fn(&mut LogicalPool, &mut Fabric, NodeId, LogicalAddr) -> Result<T, PoolError>;
 
-    /// Send `req` from (or onto) a server id one past the last on a pool
-    /// holding one segment: it is refused as an unknown server, and the
-    /// pool counters, fabric counters and rack snapshot stay unchanged.
+    /// Send `req` from (or onto) the server ids one and six past the last
+    /// on a pool holding one segment: each is refused as an unknown server,
+    /// and the pool counters, fabric counters and rack snapshot stay
+    /// unchanged.
     fn assert_unknown_server_refused<T: std::fmt::Debug>(req: Request<T>) {
         let (mut p, mut f) = small_pool();
         p.attach_telemetry();
@@ -1850,10 +1866,11 @@ mod tests {
             )
         };
         let before = state(&mut p, &mut f);
-        let unknown = NodeId(p.servers());
-        let r = req(&mut p, &mut f, unknown, LogicalAddr::new(seg, 0));
-        assert_eq!(r.unwrap_err(), PoolError::InvalidRequest("unknown server"));
-        assert_eq!(state(&mut p, &mut f), before);
+        for unknown in [p.servers(), p.servers() + 5].map(NodeId) {
+            let r = req(&mut p, &mut f, unknown, LogicalAddr::new(seg, 0));
+            assert_eq!(r.unwrap_err(), PoolError::InvalidRequest("unknown server"));
+            assert_eq!(state(&mut p, &mut f), before);
+        }
     }
 
     #[test]
@@ -1903,6 +1920,21 @@ mod tests {
     }
 
     #[test]
+    fn crash_of_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, _, n, _| p.crash_server(n));
+    }
+
+    #[test]
+    fn revive_of_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, _, n, _| p.revive_server(n));
+    }
+
+    #[test]
+    fn restart_of_unknown_server_is_refused() {
+        assert_unknown_server_refused(|p, _, n, _| p.restart_server(n));
+    }
+
+    #[test]
     fn resize_of_unknown_server_is_refused() {
         assert_unknown_server_refused(|p, _, n, _| p.resize_shared(n, FRAME_BYTES));
     }
@@ -1919,9 +1951,9 @@ mod tests {
         let (mut p, _) = small_pool();
         let seg = p.alloc(4 * FRAME_BYTES, Placement::On(NodeId(2))).unwrap();
         p.write_bytes(LogicalAddr::new(seg, 0), b"doomed").unwrap();
-        p.crash_server(NodeId(2));
+        p.crash_server(NodeId(2)).unwrap();
         p.free(seg).unwrap();
-        p.revive_server(NodeId(2));
+        p.revive_server(NodeId(2)).unwrap();
         assert_eq!(p.free_shared_frames(NodeId(2)), 16);
         assert_eq!(p.node(NodeId(2)).materialized_frames(), 0);
     }
@@ -1943,11 +1975,11 @@ mod tests {
                 let first = p.local_map(NodeId(2)).frames_of(seg)[0];
                 p.node_mut(NodeId(2)).free_many(&[first]).unwrap();
             }
-            let affected = p.crash_server(NodeId(2));
+            let affected = p.crash_server(NodeId(2)).unwrap();
             let report = prot.recover(&mut p, &mut f, SimTime::ZERO, NodeId(2), &affected);
             assert_eq!(report.promoted, vec![seg]);
             assert_ne!(p.holder_of(seg), Some(NodeId(2)));
-            p.revive_server(NodeId(2));
+            p.revive_server(NodeId(2)).unwrap();
             assert_eq!(p.free_shared_frames(NodeId(2)), 16, "{freed_early}");
             assert!(p.global_map().segments_on(NodeId(2)).is_empty());
         }
@@ -1961,7 +1993,7 @@ mod tests {
             let segs: Vec<SegmentId> = (1..4)
                 .map(|n| p.alloc(2 * FRAME_BYTES, Placement::On(NodeId(n))).unwrap())
                 .collect();
-            p.crash_server(NodeId(3));
+            p.crash_server(NodeId(3)).unwrap();
             (p, f, segs)
         };
         let at = LogicalAddr::new;

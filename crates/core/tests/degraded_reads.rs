@@ -57,7 +57,7 @@ fn degraded_reads_bridge_reconstruction_for_both_schemes() {
         pm.protect_parity(&mut p, &mut f, now, &[a, b]).unwrap();
 
         let mut orch = RecoveryOrchestrator::new();
-        let affected = p.crash_server(NodeId(0));
+        let affected = p.crash_server(NodeId(0)).unwrap();
         f.set_port_down(NodeId(0), true);
         assert_eq!(affected.len(), 2, "seed {seed}: both app segments hit");
         orch.on_confirmed_down(&p, NodeId(0), 1);
@@ -133,7 +133,7 @@ fn degraded_read_replays_identically_from_its_seed() {
         let data = fill(&mut rng, FRAME_BYTES);
         p.write_bytes(LogicalAddr::new(seg, 0), &data).unwrap();
         pm.mirror(&mut p, &mut f, now, seg).unwrap();
-        p.crash_server(NodeId(0));
+        p.crash_server(NodeId(0)).unwrap();
         f.set_port_down(NodeId(0), true);
         let r = pm
             .read_degraded(&p, &mut f, now, NodeId(2), LogicalAddr::new(seg, 7), 96)

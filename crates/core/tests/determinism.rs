@@ -116,14 +116,13 @@ fn different_seeds_differ() {
 }
 
 #[test]
-fn chaos_scenario_digests_survive_the_calendar_kernel() {
-    // Calendar-kernel regression: a full seeded chaos scenario — faults,
-    // recoveries, retries, batch waves, telemetry — run twice with the
-    // same seed must produce byte-identical FNV trace and telemetry
-    // digests. The scenario schedules through `Engine` (now backed by the
-    // calendar queue), so any ordering drift in bucket scans, far-band
-    // drains, resizes, or lazy cancellation shows up here as a digest
-    // mismatch, with the trace diff pinpointing the first divergent event.
+fn chaos_scenario_digests_are_same_seed_deterministic() {
+    // A full seeded chaos scenario — faults, recoveries, retries, batch
+    // waves, telemetry — run twice with the same seed must produce
+    // byte-identical FNV trace and telemetry digests. The scenario
+    // schedules through `Engine`, so any drift in event order or in lazy
+    // cancellation shows up here as a digest mismatch, with the trace
+    // diff pinpointing the first divergent event.
     use lmp_harness::prelude::{run_scenario, Scenario};
 
     let a = run_scenario(Scenario::Combined, 0xD15C_0B01);

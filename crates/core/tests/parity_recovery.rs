@@ -70,7 +70,7 @@ proptest! {
             let vi = (victim_sel % k as u64) as usize;
             (members[vi], p.holder_of(members[vi]).unwrap())
         };
-        let mut affected = p.crash_server(home);
+        let mut affected = p.crash_server(home).unwrap();
         affected.sort_unstable();
         prop_assert_eq!(&affected, &vec![victim_seg], "one segment per server");
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, home, &affected);
@@ -96,7 +96,7 @@ proptest! {
         // The group still protects: crash another member and recover again.
         let vi2 = ((victim_sel / 7) % k as u64) as usize;
         let home2 = p.holder_of(members[vi2]).unwrap();
-        let mut affected2 = p.crash_server(home2);
+        let mut affected2 = p.crash_server(home2).unwrap();
         affected2.sort_unstable();
         let report2 = pm.recover(&mut p, &mut f, SimTime::ZERO, home2, &affected2);
         prop_assert!(report2.lost.is_empty());

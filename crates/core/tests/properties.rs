@@ -109,7 +109,7 @@ proptest! {
             pm.write(&mut p, LogicalAddr::new(seg, *off), data).unwrap();
             model[*off as usize..*off as usize + data.len()].copy_from_slice(data);
         }
-        let affected = p.crash_server(NodeId(crash));
+        let affected = p.crash_server(NodeId(crash)).unwrap();
         let report = pm.recover(&mut p, &mut fb, SimTime::ZERO, NodeId(crash), &affected);
         prop_assert!(report.lost.is_empty(), "mirrored data lost: {:?}", report.lost);
         let got = p.read_bytes(LogicalAddr::new(seg, 0), FRAME_BYTES).unwrap();
@@ -139,7 +139,7 @@ proptest! {
             models[*m][*off as usize..*off as usize + data.len()].copy_from_slice(data);
         }
         let victim_server = p.holder_of(segs[crash_member]).unwrap();
-        let affected = p.crash_server(victim_server);
+        let affected = p.crash_server(victim_server).unwrap();
         let report = pm.recover(&mut p, &mut fb, SimTime::ZERO, victim_server, &affected);
         prop_assert!(report.lost.is_empty(), "parity-protected data lost");
         for (seg, model) in segs.iter().zip(&models) {

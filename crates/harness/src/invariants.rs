@@ -537,7 +537,7 @@ mod tests {
         pm.write(&mut p, LogicalAddr::new(seg, 0), b"payload").unwrap();
         let mut model = ContentModel::new();
         model.insert(seg, p.read_bytes(LogicalAddr::new(seg, 0), FRAME_BYTES).unwrap());
-        let affected = p.crash_server(NodeId(0));
+        let affected = p.crash_server(NodeId(0)).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected);
         let r = check_recovery(&p, &report, &[seg], &[], &model);
         assert!(r.passed, "{r}");
@@ -547,7 +547,7 @@ mod tests {
     fn recovery_check_catches_misreported_loss() {
         let (mut p, mut f, mut pm) = world(3);
         let seg = p.alloc(FRAME_BYTES, Placement::On(NodeId(1))).unwrap();
-        let affected = p.crash_server(NodeId(1));
+        let affected = p.crash_server(NodeId(1)).unwrap();
         let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(1), &affected);
         // Caller wrongly claims the segment was protected.
         let model = ContentModel::new();

@@ -865,7 +865,10 @@ impl World {
     /// harness plays the operator and schedules the recovery itself; with
     /// healing armed the detector owns the whole response.
     fn crash_host(&mut self, eng: &mut Engine<Ev>, n: NodeId, label: &str) {
-        let mut affected = self.pool.crash_server(n);
+        let mut affected = match self.pool.crash_server(n) {
+            Ok(affected) => affected,
+            Err(e) => return self.trace_line(eng.now(), format!("  {label}crash refused: {e}")),
+        };
         affected.sort_unstable();
         self.fabric.set_port_down(n, true);
         self.trace_line(eng.now(), format!("  {label}affected: {affected:?}"));
@@ -881,19 +884,26 @@ impl World {
     /// epoch rule decides whether its retained memory is honored.
     fn rejoin_host(&mut self, now: SimTime, n: NodeId, warm: bool) {
         self.fabric.set_port_down(n, false);
-        let h = match &mut self.healing {
-            None if warm => return self.pool.revive_server(n),
-            None => return self.pool.restart_server(n),
-            Some(h) => h,
-        };
-        let m = h.detector.membership();
-        let claimed = if warm { m.epoch() } else { m.incarnation(n) };
-        let out = h
-            .orchestrator
-            .admit_rejoin(&mut self.pool, m, n, claimed, warm);
         let kind = if warm { "warm" } else { "cold" };
-        let (resurrected, dropped) = (out.resurrected, out.dropped);
-        let line = format!("  {kind} rejoin {n}: resurrected={resurrected} dropped={dropped:?}");
+        let rejoined = match &mut self.healing {
+            None if warm => self.pool.revive_server(n).map(|()| None),
+            None => self.pool.restart_server(n).map(|()| None),
+            Some(h) => {
+                let m = h.detector.membership();
+                let claimed = if warm { m.epoch() } else { m.incarnation(n) };
+                h.orchestrator
+                    .admit_rejoin(&mut self.pool, m, n, claimed, warm)
+                    .map(Some)
+            }
+        };
+        let line = match rejoined {
+            Ok(None) => return,
+            Ok(Some(out)) => format!(
+                "  {kind} rejoin {n}: resurrected={} dropped={:?}",
+                out.resurrected, out.dropped
+            ),
+            Err(e) => format!("  {kind} rejoin {n} refused: {e}"),
+        };
         self.trace_line(now, line);
     }
 

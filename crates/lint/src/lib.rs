@@ -17,7 +17,7 @@
 //!   `HashSet` in functions on the *digest-tainted* set: anything that
 //!   transitively constructs or feeds snapshots, digests, fault plans, or
 //!   migration/balancing decisions. The set is **inferred from the call
-//!   graph** (see [`reach`]), not hand-listed.
+//!   graph** (see the `reach` module), not hand-listed.
 //! * **R3 `no-panic`** — no `unwrap()` / `expect()` / `panic!` /
 //!   `assert!` family in any function *reachable from a recoverable
 //!   seed*: public fns returning `Result<_, E>` for a workspace error

@@ -20,3 +20,9 @@ fn negatives() {
 struct Instant {
     raw: u64,
 }
+
+fn suppressed() -> std::time::Duration {
+    // lmp-lint: allow(wall-clock) — a justified allow silences its line: host timing that never reaches a digest
+    let start = std::time::Instant::now();
+    start.elapsed()
+}

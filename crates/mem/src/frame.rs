@@ -3,7 +3,7 @@
 //! Memory is managed in 2 MiB frames (matching x86 huge pages, the natural
 //! granularity for pooled memory: coarse enough that 96 GB is ~49k frames,
 //! fine enough for placement and migration decisions). Frame ids are dense
-//! per node (`0..total`), so per-frame sets are bitmaps ([`FrameBitmap`]).
+//! per node (`0..total`), so per-frame sets are bitmaps (`FrameBitmap`).
 //! The allocator is a deterministic bitmap of allocated frames with a
 //! low-water hint: allocation always returns the lowest free frames, so
 //! runs replay identically. Frames are allocated and freed in lists, a

@@ -10,8 +10,8 @@
 //!
 //! Design goals, in order: **reproducibility** (same seed ⇒ same run, on any
 //! platform), **simplicity** (no macros or type tricks; the engine is a
-//! pending-event set and a loop), and **speed** (amortized O(1) scheduling
-//! via the [`calendar`] queue, O(1) recording).
+//! pending-event set and a loop), and **speed** (`O(log n)` scheduling on
+//! a binary heap, [`queue::EventQueue`]; O(1) recording).
 //!
 //! ## Quick tour
 //!
@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod calendar;
 pub mod engine;
 pub mod latency;
 pub mod queue;
@@ -47,7 +46,6 @@ pub mod units;
 
 /// Commonly used items, re-exported for `use lmp_sim::prelude::*`.
 pub mod prelude {
-    pub use crate::calendar::CalendarQueue;
     pub use crate::engine::{Engine, SchedulePastError};
     pub use crate::latency::LoadedLatencyCurve;
     pub use crate::queue::{EventId, EventQueue};

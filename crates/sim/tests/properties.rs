@@ -6,6 +6,185 @@
 use lmp_sim::prelude::*;
 use proptest::prelude::*;
 
+/// What became of an id the model handed out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fate {
+    Pending,
+    Fired,
+    Cancelled,
+}
+
+/// The naive model [`EventQueue`] is checked against: every pending event
+/// in a `Vec`, and a pop scans it for the least `(at, id)`.
+#[derive(Debug, Default)]
+struct Model {
+    pending: Vec<(SimTime, u64, u64)>,
+    /// Indexed by id; ids past its end were never issued.
+    fate: Vec<Fate>,
+}
+
+impl Model {
+    fn push(&mut self, at: SimTime, payload: u64) -> u64 {
+        let id = self.fate.len() as u64;
+        self.fate.push(Fate::Pending);
+        self.pending.push((at, id, payload));
+        id
+    }
+
+    fn cancel(&mut self, id: u64) -> bool {
+        if self.fate.get(id as usize) != Some(&Fate::Pending) {
+            return false;
+        }
+        self.pending.retain(|e| e.1 != id);
+        self.fate[id as usize] = Fate::Cancelled;
+        true
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let (mut least, mut key) = (0, (SimTime::MAX, u64::MAX));
+        for (i, e) in self.pending.iter().enumerate() {
+            if (e.0, e.1) < key {
+                (least, key) = (i, (e.0, e.1));
+            }
+        }
+        let popped = self.pending.swap_remove(least);
+        self.fate[popped.1 as usize] = Fate::Fired;
+        Some(popped)
+    }
+}
+
+/// What a run exercised, so a test can insist on its coverage.
+#[derive(Debug, Default)]
+struct Seen {
+    /// Pushes earlier than the last pop.
+    rewinds: u64,
+    cancel_pending: u64,
+    cancel_fired: u64,
+    cancel_cancelled: u64,
+    cancel_unknown: u64,
+}
+
+/// An [`EventQueue`] and the [`Model`] driven in lock step: every call
+/// goes to both, and every answer must match.
+struct Lockstep {
+    queue: EventQueue<u64>,
+    model: Model,
+    /// `ids[k].as_u64() == k`. They come from a spare queue, so they run
+    /// ahead of the ids the queue under test has issued.
+    spare: EventQueue<()>,
+    ids: Vec<EventId>,
+    last_pop: SimTime,
+    seen: Seen,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep {
+            queue: EventQueue::new(),
+            model: Model::default(),
+            spare: EventQueue::new(),
+            ids: Vec::new(),
+            last_pop: SimTime::ZERO,
+            seen: Seen::default(),
+        }
+    }
+
+    /// Ids issued so far.
+    fn issued(&self) -> u64 {
+        self.model.fate.len() as u64
+    }
+
+    fn id(&mut self, k: u64) -> EventId {
+        while self.ids.len() as u64 <= k {
+            self.ids.push(self.spare.push(SimTime::ZERO, ()));
+        }
+        self.ids[k as usize]
+    }
+
+    fn push(&mut self, at: u64, payload: u64) {
+        let at = SimTime::from_nanos(at);
+        if at < self.last_pop {
+            self.seen.rewinds += 1;
+        }
+        let id = self.queue.push(at, payload);
+        assert_eq!(id.as_u64(), self.model.push(at, payload), "push {payload}");
+    }
+
+    fn cancel(&mut self, k: u64) {
+        let id = self.id(k);
+        let seen = &mut self.seen;
+        match self.model.fate.get(k as usize) {
+            None => seen.cancel_unknown += 1,
+            Some(Fate::Pending) => seen.cancel_pending += 1,
+            Some(Fate::Fired) => seen.cancel_fired += 1,
+            Some(Fate::Cancelled) => seen.cancel_cancelled += 1,
+        }
+        assert_eq!(self.queue.cancel(id), self.model.cancel(k), "cancel({k})");
+    }
+
+    /// Pop once; false when both sides are empty.
+    fn pop(&mut self) -> bool {
+        let got = self.queue.pop().map(|(at, id, p)| (at, id.as_u64(), p));
+        let want = self.model.pop();
+        assert_eq!(got, want, "pop");
+        if let Some((at, _, _)) = got {
+            self.last_pop = at;
+        }
+        got.is_some()
+    }
+
+    fn check_len(&self) {
+        assert_eq!(self.queue.len(), self.model.pending.len(), "len");
+        assert_eq!(self.queue.is_empty(), self.model.pending.is_empty(), "is_empty");
+    }
+
+    /// Pop until empty, then show both sides are.
+    fn drain(&mut self) {
+        while self.pop() {}
+        self.check_len();
+    }
+}
+
+/// Run one script of raw `(op, arg)` steps against the queue and the
+/// model, checking the live count after every step.
+fn run_script(script: &[(u8, u64)]) {
+    let mut ls = Lockstep::new();
+    for (payload, &(op, arg)) in (0u64..).zip(script) {
+        match op % 10 {
+            // Near pushes: dense, many ties, often before the last pop.
+            0 | 1 => ls.push(arg % 4_096, payload),
+            // Three pushes at one instant.
+            2 => (0..3).for_each(|_| ls.push(arg % 4_096, payload)),
+            // Far pushes, up to ~2^52 ns ahead.
+            3 => ls.push((1 << (20 + arg % 33)) + arg % 65_536, payload),
+            // An id issued up to 24 pushes ago: pending, fired or cancelled.
+            4 => {
+                if let Some(k) = ls.issued().checked_sub(1 + arg % 24) {
+                    ls.cancel(k);
+                }
+            }
+            // An id not issued yet.
+            5 => ls.cancel(ls.issued() + arg % 4),
+            6..=8 => {
+                ls.pop();
+            }
+            // Up to four pops.
+            _ => {
+                for _ in 0..4 {
+                    if !ls.pop() {
+                        break;
+                    }
+                }
+            }
+        }
+        ls.check_len();
+    }
+    ls.drain();
+}
+
 /// The `f64::ceil` form [`Bandwidth::time_to_transfer`] must match bit
 /// for bit.
 fn transfer_by_ceil(bw: Bandwidth, bytes: u64) -> SimDuration {
@@ -201,4 +380,50 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random interleavings of push, same-instant bursts, far pushes,
+    /// cancels and pops match the model step by step.
+    #[test]
+    fn queue_matches_naive_model(
+        script in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400),
+    ) {
+        run_script(&script);
+    }
+}
+
+/// A long deterministic run: tens of thousands of events pending at once,
+/// far pushes up to 2^44 ns ahead, bursts of four ties, and cancels of any
+/// id issued so far, with the model checking every pop. The run must
+/// exercise every kind of cancel and pushes earlier than the last pop.
+#[test]
+fn long_mixed_run_matches_naive_model() {
+    let mut ls = Lockstep::new();
+    let mut rng = DetRng::new(0x51F7_BEEF);
+    for i in 0..20_000u64 {
+        match rng.below(10) {
+            0..=3 => ls.push(rng.below(1 << 22), i),
+            4 => ls.push((1 << 30) + rng.below(1 << 44), i),
+            5 => {
+                let at = rng.below(1 << 12);
+                (0..4).for_each(|_| ls.push(at, i));
+            }
+            6 => {
+                let k = rng.below(ls.issued() + 4);
+                ls.cancel(k);
+            }
+            _ => {
+                ls.pop();
+            }
+        }
+        ls.check_len();
+    }
+    ls.drain();
+    let s = &ls.seen;
+    assert!(s.rewinds > 0, "{s:?}");
+    assert!(s.cancel_pending > 0 && s.cancel_fired > 0, "{s:?}");
+    assert!(s.cancel_cancelled > 0 && s.cancel_unknown > 0, "{s:?}");
 }

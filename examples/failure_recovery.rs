@@ -45,7 +45,7 @@ fn main() {
     }
 
     println!("crashing server 0 (holds all three primaries)…");
-    let affected = pool.crash_server(NodeId(0));
+    let affected = pool.crash_server(NodeId(0)).expect("known server");
     let report = pm.recover(&mut pool, &mut fabric, SimTime::ZERO, NodeId(0), &affected);
     println!(
         "recovery: promoted {:?}, reconstructed {:?}, lost {:?}, {} moved in {}",

@@ -159,7 +159,7 @@ fn challenge_failure_domains() {
         pm.write(&mut p, LogicalAddr::new(seg, 0), data).unwrap();
     }
 
-    let affected = p.crash_server(NodeId(0));
+    let affected = p.crash_server(NodeId(0)).unwrap();
     let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected);
 
     assert_eq!(report.promoted, vec![mirrored]);
@@ -191,7 +191,7 @@ fn protection_survives_migration() {
         .unwrap();
     migrate_segment(&mut p, &mut f, SimTime::ZERO, seg, dst).unwrap();
 
-    let affected = p.crash_server(dst);
+    let affected = p.crash_server(dst).unwrap();
     let report = pm.recover(&mut p, &mut f, SimTime::ZERO, dst, &affected);
     assert_eq!(report.promoted, vec![seg]);
     assert_eq!(
@@ -213,8 +213,8 @@ fn parity_double_crash_is_honest() {
         .unwrap();
 
     // Crash two member servers at once; only then recover.
-    let mut affected = p.crash_server(NodeId(0));
-    affected.extend(p.crash_server(NodeId(1)));
+    let mut affected = p.crash_server(NodeId(0)).unwrap();
+    affected.extend(p.crash_server(NodeId(1)).unwrap());
     let report = pm.recover(&mut p, &mut f, SimTime::ZERO, NodeId(0), &affected);
     assert!(report.lost.contains(&a) || report.lost.contains(&b));
     assert!(report.reconstructed.len() < 2, "cannot rebuild both");

@@ -186,7 +186,7 @@ fn crash_recovery_under_kv_load() {
         pm.write(&mut pool, addr, &key.to_le_bytes()).unwrap();
     }
 
-    let affected = pool.crash_server(victim);
+    let affected = pool.crash_server(victim).unwrap();
     let report = pm.recover(&mut pool, &mut fabric, SimTime::ZERO, victim, &affected);
     assert!(report.lost.is_empty(), "all victim segments were mirrored");
 
