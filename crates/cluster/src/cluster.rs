@@ -6,7 +6,7 @@
 //! architectures by running the identical workload on each.
 
 use crate::config::{ClusterConfig, PoolArch};
-use lmp_compute::scan::{self, LogicalScan, Repeat, ScanBackend, ScanOp, ScanRun, Served};
+use lmp_compute::scan::{self, Jump, LogicalScan, ScanBackend, ScanOp, ScanRun, Served};
 use lmp_compute::{DistVector, ScanOutcome, ScanParams};
 use lmp_core::prelude::*;
 use lmp_fabric::{Fabric, NodeId};
@@ -281,33 +281,40 @@ impl Cluster {
         params: ScanParams,
         engine: Engine,
     ) -> Result<ScanRun, ClusterError> {
-        match (&mut self.backend, handle) {
-            (Backend::Logical(pool), VectorHandle::Logical(v)) => {
-                let ranges: Vec<(SegmentId, u64, u64)> =
-                    v.stripes.iter().map(|(_, s, l)| (*s, 0, *l)).collect();
-                let mut scan = LogicalScan::new(pool, &mut self.fabric, server, &ranges);
-                Ok(engine.run(&mut scan, start, params)?)
-            }
-            (Backend::Physical { pool, caches }, VectorHandle::Physical { frames, len }) => {
-                if self.pool_node.is_none() {
-                    return Err(ClusterError::Backend("physical cluster has no pool node"));
-                }
-                let mut scan = PhysicalScan {
-                    pool,
-                    cache: caches
-                        .as_mut()
-                        .and_then(|c| c.get_mut(server.0 as usize)),
-                    fabric: &mut self.fabric,
-                    server,
-                    servers: self.config.servers,
-                    frames,
-                    len: *len,
-                    admitted: Vec::new(),
-                };
-                Ok(engine.run(&mut scan, start, params)?)
-            }
-            _ => Err(ClusterError::Backend("handle from another cluster architecture")),
+        if let (Backend::Logical(pool), VectorHandle::Logical(v)) = (&mut self.backend, handle) {
+            let ranges: Vec<(SegmentId, u64, u64)> =
+                v.stripes.iter().map(|(_, s, l)| (*s, 0, *l)).collect();
+            let mut scan = LogicalScan::new(pool, &mut self.fabric, server, &ranges);
+            return Ok(engine.run(&mut scan, start, params)?);
         }
+        let mut scan = self.physical_scan(server, handle)?;
+        Ok(engine.run(&mut scan, start, params)?)
+    }
+
+    /// The physical backend scanning `handle` from `server`.
+    fn physical_scan<'a>(
+        &'a mut self,
+        server: NodeId,
+        handle: &'a VectorHandle,
+    ) -> Result<PhysicalScan<'a>, ClusterError> {
+        let (Backend::Physical { pool, caches }, VectorHandle::Physical { frames, len }) =
+            (&mut self.backend, handle)
+        else {
+            return Err(ClusterError::Backend("handle from another cluster architecture"));
+        };
+        if self.pool_node.is_none() {
+            return Err(ClusterError::Backend("physical cluster has no pool node"));
+        }
+        Ok(PhysicalScan {
+            pool,
+            cache: caches.as_mut().and_then(|c| c.get_mut(server.0 as usize)),
+            fabric: &mut self.fabric,
+            server,
+            servers: self.config.servers,
+            frames,
+            len: *len,
+            admitted: Vec::new(),
+        })
     }
 
     /// Run the paper's aggregation microbenchmark: `reps` sequential scans
@@ -391,8 +398,8 @@ struct PhysicalScan<'a> {
     servers: u32,
     frames: &'a [FrameId],
     len: u64,
-    /// Frames a repeated round admits before they are noted.
-    admitted: Vec<FrameId>,
+    /// Each core's latest frame a jump's path check admitted.
+    admitted: Vec<Option<FrameId>>,
 }
 
 /// [`Served::path`] codes: the uncached read, then each [`CachePath`].
@@ -436,6 +443,20 @@ impl ScanBackend for PhysicalScan<'_> {
     fn op_at(&self, pos: u64, want: u64) -> Option<(u64, u64)> {
         // Clamp to frame boundaries so cache accesses are per frame.
         (pos < self.len).then(|| (want.min(FRAME_BYTES - pos % FRAME_BYTES), 0))
+    }
+
+    fn reach(&self, pos: u64, want: u64) -> u64 {
+        let Some((len, _)) = self.op_at(pos, want) else {
+            return pos;
+        };
+        // Whole frames, and unclamped ops that tile frames from a tile
+        // boundary, repeat to the stream's end; others within the frame.
+        let tiles = len == FRAME_BYTES || (len == want && FRAME_BYTES.is_multiple_of(len) && pos.is_multiple_of(len));
+        if tiles {
+            self.len
+        } else {
+            (pos / FRAME_BYTES + 1) * FRAME_BYTES
+        }
     }
 
     fn issue(&mut self, now: SimTime, ops: &[ScanOp], served: &mut Vec<Served>) -> Result<SimTime, PoolError> {
@@ -504,49 +525,63 @@ impl ScanBackend for PhysicalScan<'_> {
         Ok(())
     }
 
-    fn same_paths(&mut self, round: &Repeat<'_>) -> bool {
+    fn paths(&mut self, jump: &Jump<'_>, k: u64) -> u64 {
         let Some(cache) = self.cache.as_deref() else {
-            return true;
+            return k;
         };
-        // Residency as the round would find it: frames admitted earlier in
-        // the same round are resident, and count against capacity.
+        // Residency as the repetitions would find it, in issue order:
+        // frames admitted earlier in the jump are resident and count
+        // against capacity. A core's ops touch ever later frames, and a
+        // frame two cores share was touched before the jump, so a frame
+        // the jump admits is hit again only by the same core's next ops.
+        let (capacity, mut resident) = (cache.capacity_frames(), cache.resident_frames());
         self.admitted.clear();
-        for (op, s) in round.ops.iter().zip(round.served) {
-            let Ok(frame) = self.frame(op.pos) else {
-                return false;
-            };
-            let path = if cache.is_resident(frame) || self.admitted.contains(&frame) {
-                CachePath::Hit
-            } else if cache.resident_frames() + (self.admitted.len() as u64) < cache.capacity_frames() {
-                self.admitted.push(frame);
-                CachePath::Admit
-            } else if cache.policy() == AdmissionPolicy::PinUntilFull {
-                CachePath::Bypass
-            } else {
-                // An eviction's victim depends on every stamp: not repeated.
-                return false;
-            };
-            if path_code(Some(path)) != s.path {
-                return false;
+        self.admitted.resize(jump.advance.len(), None);
+        for j in 0..k {
+            for (i, (op, s)) in jump.ops.iter().zip(jump.served).enumerate() {
+                let Ok(frame) = self.frame(jump.pos(i, j)) else {
+                    return j;
+                };
+                let admitted = &mut self.admitted[op.core as usize];
+                let path = if cache.is_resident(frame) || *admitted == Some(frame) {
+                    CachePath::Hit
+                } else if resident < capacity {
+                    resident += 1;
+                    *admitted = Some(frame);
+                    CachePath::Admit
+                } else if cache.policy() == AdmissionPolicy::PinUntilFull {
+                    CachePath::Bypass
+                } else {
+                    // An eviction's victim depends on every stamp: not repeated.
+                    return j;
+                };
+                if path_code(Some(path)) != s.path {
+                    return j;
+                }
             }
         }
-        true
+        k
     }
 
-    fn repeat(&mut self, round: &Repeat<'_>) -> Result<(), PoolError> {
-        for (op, s) in round.ops.iter().zip(round.served) {
-            let frame = self.frame(op.pos)?;
-            let path = PATHS.get(s.path as usize).copied().flatten();
-            if let (Some(cache), Some(path)) = (self.cache.as_deref_mut(), path) {
-                cache.note(frame, path);
-            }
-            if path != Some(CachePath::Hit) {
-                // The pool's DRAM served the frame (the whole frame on an
-                // admitting miss): one hotness sample, as `read` records.
-                self.pool
-                    .memory_mut()
-                    .hotness_mut()
-                    .record(frame, self.server.0, 1);
+    fn repeat(&mut self, jump: &Jump<'_>, k: u64) -> Result<(), PoolError> {
+        // Repetition-major, op-minor: the cache clock stamps each op in
+        // issue order.
+        for j in 0..k {
+            for (i, s) in jump.served.iter().enumerate() {
+                let frame = self.frame(jump.pos(i, j))?;
+                let path = PATHS.get(s.path as usize).copied().flatten();
+                if let (Some(cache), Some(path)) = (self.cache.as_deref_mut(), path) {
+                    cache.note(frame, path);
+                }
+                if path != Some(CachePath::Hit) {
+                    // The pool's DRAM served the frame (the whole frame on
+                    // an admitting miss): one hotness sample, as `read`
+                    // records.
+                    self.pool
+                        .memory_mut()
+                        .hotness_mut()
+                        .record(frame, self.server.0, 1);
+                }
             }
         }
         Ok(())
@@ -908,11 +943,9 @@ mod tests {
             dram(node.dram(), &mut layout)
         );
         for cache in caches.iter().flatten() {
-            let resident: Vec<u64> = (0..64)
-                .filter(|&f| cache.is_resident(FrameId(f)))
-                .collect();
+            let stamps: Vec<u64> = (0..64).map(|f| cache.stamp(FrameId(f))).collect();
             out += &format!(
-                " | {} {} {} {} {resident:?} {}",
+                " | {} {} {} {} {stamps:?} {}",
                 cache.hit_count(),
                 cache.miss_count(),
                 cache.eviction_count(),
@@ -923,54 +956,287 @@ mod tests {
         format!("{out} | {layout:?}")
     }
 
+    /// One case of the physical oracle below.
+    #[derive(Debug, Clone, Copy)]
+    struct Case {
+        cached: bool,
+        link0: bool,
+        lru: bool,
+        cache_frames: u64,
+        frames: u64,
+        tail: u64,
+        params: ScanParams,
+        reps: usize,
+        warm: bool,
+    }
+
+    /// Run `case` with the engine (`fast`) or the reference: the scans'
+    /// outcomes, everything they left behind ([`physical_state`]), and the
+    /// engine's jumps in the last scan.
+    fn run_case(case: Case, fast: bool) -> (Vec<ScanOutcome>, String, Vec<Jumped>) {
+        let mut cfg = ClusterConfig::paper(
+            if case.cached { PoolArch::PhysicalCache } else { PoolArch::PhysicalNoCache },
+            if case.link0 { LinkProfile::link0() } else { LinkProfile::link1() },
+        );
+        cfg.local_per_server = case.cache_frames * FRAME_BYTES;
+        cfg.pool_capacity = 64 * FRAME_BYTES;
+        cfg.cache_policy = if case.lru { AdmissionPolicy::Lru } else { AdmissionPolicy::PinUntilFull };
+        let len = case.frames * FRAME_BYTES - case.tail.min(FRAME_BYTES - 1);
+        let engine = if fast { Engine::FastForward } else { Engine::Reference };
+        let mut c = Cluster::new(cfg);
+        let other = c.alloc_vector(3 * FRAME_BYTES, NodeId(0)).unwrap();
+        let h = c.alloc_vector(len, NodeId(0)).unwrap();
+        let mut now = SimTime::ZERO;
+        if case.warm {
+            // Background traffic: another server's scan first.
+            now = c.scan_using(now, NodeId(1), &other, ScanParams::with_cores(3), engine).unwrap().outcome.complete;
+        }
+        let (mut outcomes, mut jumps) = (Vec::new(), Vec::new());
+        for _ in 0..case.reps {
+            let out = if fast {
+                let (run, _, last) = counted_scan(&mut c, now, &h, case.params);
+                jumps = last;
+                run.outcome
+            } else {
+                c.scan_using(now, NodeId(0), &h, case.params, engine).unwrap().outcome
+            };
+            now = out.complete;
+            outcomes.push(out);
+        }
+        (outcomes, physical_state(&mut c, now), jumps)
+    }
+
+    fn case() -> impl Strategy<Value = Case> {
+        (
+            (any::<bool>(), any::<bool>(), any::<bool>(), 1u64..40, 1u64..40),
+            (0u64..FRAME_BYTES, 1u32..29, 0usize..5, 1usize..4, any::<bool>()),
+        )
+            .prop_map(|((cached, link0, lru, cache_frames, frames), (tail, cores, chunk_pick, reps, warm))| {
+                let chunk = [FRAME_BYTES, FRAME_BYTES / 2, 3 * FRAME_BYTES / 2, 1_000_000, 2 * FRAME_BYTES + 12_345][chunk_pick];
+                Case {
+                    cached,
+                    link0,
+                    lru,
+                    cache_frames,
+                    frames,
+                    tail,
+                    params: ScanParams { cores, chunk, ..ScanParams::default() },
+                    reps,
+                    warm,
+                }
+            })
+    }
+
+    /// The fast-forwarding engine leaves a physical deployment exactly as
+    /// stepping every op does: outcomes, every counter, histogram,
+    /// estimate and busy schedule, hotness, and cache residency and
+    /// stamps. Returns the engine's jumps in the last scan.
+    fn matches_stepping(case: Case) -> Vec<Jumped> {
+        let (fast, fast_state, jumps) = run_case(case, true);
+        let (slow, slow_state, _) = run_case(case, false);
+        assert_eq!(fast, slow, "{case:?}");
+        assert_eq!(fast_state, slow_state, "{case:?}");
+        jumps
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
-        /// The fast-forwarding engine leaves a physical deployment exactly
-        /// as stepping every op does: outcomes, every counter, histogram,
-        /// estimate and busy schedule, hotness, and cache residency.
         #[test]
-        fn physical_fast_forward_matches_stepping(
-            cached in any::<bool>(),
-            link0 in any::<bool>(),
-            lru in any::<bool>(),
-            cache_frames in 1u64..40,
-            frames in 1u64..40,
-            tail in 0u64..FRAME_BYTES,
-            cores in 1u32..29,
-            chunk_pick in 0usize..5,
-            reps in 1usize..4,
-            warm in any::<bool>(),
-        ) {
-            let chunk = [FRAME_BYTES, FRAME_BYTES / 2, 3 * FRAME_BYTES / 2, 1_000_000, 2 * FRAME_BYTES + 12_345][chunk_pick];
-            let params = ScanParams { cores, chunk, ..ScanParams::default() };
-            let mut cfg = ClusterConfig::paper(
-                if cached { PoolArch::PhysicalCache } else { PoolArch::PhysicalNoCache },
-                if link0 { LinkProfile::link0() } else { LinkProfile::link1() },
-            );
-            cfg.local_per_server = cache_frames * FRAME_BYTES;
-            cfg.pool_capacity = 64 * FRAME_BYTES;
-            cfg.cache_policy = if lru { AdmissionPolicy::Lru } else { AdmissionPolicy::PinUntilFull };
-            let len = frames * FRAME_BYTES - tail.min(FRAME_BYTES - 1);
-            let mut got = Vec::new();
-            for engine in [Engine::FastForward, Engine::Reference] {
-                let mut c = Cluster::new(cfg.clone());
-                let other = c.alloc_vector(3 * FRAME_BYTES, NodeId(0)).unwrap();
-                let h = c.alloc_vector(len, NodeId(0)).unwrap();
-                let mut now = SimTime::ZERO;
-                if warm {
-                    // Background traffic: another server's scan first.
-                    now = c.scan_using(now, NodeId(1), &other, ScanParams::with_cores(3), engine).unwrap().outcome.complete;
-                }
-                let mut outcomes = Vec::new();
-                for _ in 0..reps {
-                    let out = c.scan_using(now, NodeId(0), &h, params, engine).unwrap().outcome;
-                    now = out.complete;
-                    outcomes.push(out);
-                }
-                let state = physical_state(&mut c, now);
-                got.push((outcomes, state));
-            }
-            prop_assert_eq!(&got[0], &got[1]);
+        fn physical_fast_forward_matches_stepping(case in case()) {
+            matches_stepping(case);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// [`physical_fast_forward_matches_stepping`] at depth, for
+        /// `cargo test --release -- --ignored`.
+        #[test]
+        #[ignore]
+        fn physical_fast_forward_matches_stepping_deep(case in case()) {
+            matches_stepping(case);
+        }
+    }
+
+    /// One jump as [`Counted`] saw it: the round's path codes, the
+    /// cache's (resident, capacity) frames after it, and each run's next
+    /// position, op length and ops per repetition.
+    #[derive(Debug, Clone)]
+    struct Jumped {
+        paths: Vec<u8>,
+        cache: Option<(u64, u64)>,
+        ends: Vec<(u64, u64, u64)>,
+    }
+
+    /// The physical backend, counting its path checks and logging its
+    /// jumps.
+    struct Counted<'a, 'b> {
+        inner: &'a mut PhysicalScan<'b>,
+        checks: u64,
+        jumps: Vec<Jumped>,
+    }
+
+    impl ScanBackend for Counted<'_, '_> {
+        const WAVES: bool = <PhysicalScan<'static> as ScanBackend>::WAVES;
+
+        fn stream_len(&self) -> u64 {
+            self.inner.stream_len()
+        }
+        fn check(&self) -> Result<(), PoolError> {
+            self.inner.check()
+        }
+        fn op_at(&self, pos: u64, want: u64) -> Option<(u64, u64)> {
+            self.inner.op_at(pos, want)
+        }
+        fn reach(&self, pos: u64, want: u64) -> u64 {
+            self.inner.reach(pos, want)
+        }
+        fn issue(&mut self, now: SimTime, ops: &[ScanOp], served: &mut Vec<Served>) -> Result<SimTime, PoolError> {
+            self.inner.issue(now, ops, served)
+        }
+        fn fabric(&self) -> &Fabric {
+            self.inner.fabric()
+        }
+        fn fabric_mut(&mut self) -> &mut Fabric {
+            self.inner.fabric_mut()
+        }
+        fn drams(&self) -> usize {
+            self.inner.drams()
+        }
+        fn dram(&self, i: usize) -> &DramChannel {
+            self.inner.dram(i)
+        }
+        fn dram_mut(&mut self, i: usize) -> &mut DramChannel {
+            self.inner.dram_mut(i)
+        }
+        fn ledger(&self, out: &mut Vec<u64>) {
+            self.inner.ledger(out)
+        }
+        fn finish(&mut self, delta: &[u64], rounds: u64) -> Result<(), PoolError> {
+            self.inner.finish(delta, rounds)
+        }
+        fn paths(&mut self, jump: &Jump<'_>, k: u64) -> u64 {
+            self.checks += 1;
+            self.inner.paths(jump, k)
+        }
+        fn repeat(&mut self, jump: &Jump<'_>, k: u64) -> Result<(), PoolError> {
+            self.inner.repeat(jump, k)?;
+            self.jumps.push(Jumped {
+                paths: jump.served.iter().map(|s| s.path).collect(),
+                cache: self
+                    .inner
+                    .cache
+                    .as_deref()
+                    .map(|c| (c.resident_frames(), c.capacity_frames())),
+                ends: jump
+                    .runs
+                    .iter()
+                    .map(|r| (r.pos + r.per_round * k * r.len, r.len, r.per_round))
+                    .collect(),
+            });
+            Ok(())
+        }
+    }
+
+    /// Scan `h` from server 0 through [`Counted`]: the run, its path checks
+    /// plus repeats, and its jumps.
+    fn counted_scan(c: &mut Cluster, start: SimTime, h: &VectorHandle, params: ScanParams) -> (ScanRun, u64, Vec<Jumped>) {
+        let mut scan = c.physical_scan(NodeId(0), h).unwrap();
+        let mut counted = Counted {
+            inner: &mut scan,
+            checks: 0,
+            jumps: Vec::new(),
+        };
+        let run = scan::run(&mut counted, start, params).unwrap();
+        let calls = counted.checks + counted.jumps.len() as u64;
+        (run, calls, counted.jumps)
+    }
+
+    /// The 8 and 24 GiB paper scans on both physical architectures skip
+    /// their settled stretches in a few jumps, not one check per round.
+    #[test]
+    fn paper_scans_jump_in_few_steps() {
+        for arch in [PoolArch::PhysicalCache, PoolArch::PhysicalNoCache] {
+            for size in [8 * GIB, 24 * GIB] {
+                let mut c = paper(arch);
+                let h = c.alloc_vector(size, NodeId(0)).unwrap();
+                let params = ScanParams::with_cores(c.config().cores_per_server);
+                let (run, calls, _) = counted_scan(&mut c, SimTime::ZERO, &h, params);
+                assert!(run.fast_forwarded * 10 >= run.ops * 9, "{arch:?} {size}: {run:?}");
+                assert!(calls <= 4, "{arch:?} {size}: {calls} path checks and repeats");
+            }
+        }
+    }
+
+    /// Whether some core of `j` stopped because another repetition would
+    /// have reached its slice's end.
+    fn at_slice_end(j: &Jumped, case: &Case) -> bool {
+        let len = case.frames * FRAME_BYTES - case.tail;
+        let cores = u64::from(case.params.cores);
+        j.ends.iter().any(|&(end, op, per)| {
+            let next = (1..=cores).map(|c| c * (len / cores) + c.min(len % cores)).find(|&b| b > end);
+            next.is_some_and(|slice_end| slice_end - end <= per * op)
+        })
+    }
+
+    /// Whether some core of `j` stopped because another repetition would
+    /// have crossed into the next frame.
+    fn at_frame_end(j: &Jumped) -> bool {
+        j.ends.iter().any(|&(end, op, per)| (end / FRAME_BYTES + 1) * FRAME_BYTES - end < per * op)
+    }
+
+    /// Whether every op of `j`'s round took `path`.
+    fn all(j: &Jumped, path: CachePath) -> bool {
+        j.paths.iter().all(|&p| p == path_code(Some(path)))
+    }
+
+    /// Fixed cases, each against the stepping reference, whose last scan
+    /// jumps up to a named bound: the jump must end exactly there.
+    #[test]
+    fn physical_jumps_end_at_their_bounds() {
+        let base = Case {
+            cached: false,
+            link0: false,
+            lru: false,
+            cache_frames: 8,
+            frames: 40,
+            tail: 0,
+            params: ScanParams { cores: 4, chunk: FRAME_BYTES, ..ScanParams::default() },
+            reps: 1,
+            warm: false,
+        };
+        let chunk = |chunk| ScanParams { chunk, ..base.params };
+        type Bound = fn(&Jumped, &Case) -> bool;
+        let cases: Vec<(&str, Case, Bound)> = vec![
+            ("slice end", base, at_slice_end),
+            ("cold cache fills exactly", Case { cached: true, cache_frames: 24, ..base }, |j, _| {
+                all(j, CachePath::Admit) && j.cache.is_some_and(|(r, c)| r == c)
+            }),
+            ("cold cache stops a frame short", Case { cached: true, cache_frames: 25, ..base }, |j, _| {
+                all(j, CachePath::Admit) && j.cache.is_some_and(|(r, c)| r + 1 == c)
+            }),
+            ("warm scan hits", Case { cached: true, cache_frames: 40, reps: 2, ..base }, |j, case| {
+                all(j, CachePath::Hit) && at_slice_end(j, case)
+            }),
+            ("full cache bypasses", Case { cached: true, ..base }, |j, case| {
+                all(j, CachePath::Bypass) && at_slice_end(j, case)
+            }),
+            ("half-frame chunks", Case { cached: true, cache_frames: 40, reps: 2, params: chunk(FRAME_BYTES / 2), ..base }, at_slice_end),
+            ("frame-and-a-half chunks", Case { params: chunk(3 * FRAME_BYTES / 2), ..base }, at_slice_end),
+            ("300,000 B chunks", Case { params: chunk(300_000), ..base }, |j, _| at_frame_end(j)),
+            // The Link0 appliance's DRAM estimate does not settle here, so
+            // the estimate loop steps every repetition of the jump.
+            ("Link0 appliance", Case { link0: true, ..base }, at_slice_end),
+        ];
+        for (name, case, bound) in cases {
+            let jumps = matches_stepping(case);
+            assert!(jumps.iter().any(|j| bound(j, &case)), "{name}: {jumps:?}");
+        }
+        // Ops of 1,000,000 B do not tile a frame: a jump ends at its end.
+        let jumps = matches_stepping(Case { params: chunk(1_000_000), ..base });
+        assert!(jumps.iter().all(at_frame_end), "{jumps:?}");
+        // An LRU cache that must evict never jumps.
+        let jumps = matches_stepping(Case { cached: true, lru: true, reps: 2, ..base });
+        assert!(jumps.is_empty(), "{jumps:?}");
     }
 }

@@ -10,10 +10,11 @@
 //! One engine ([`run`]) drives the loop over any [`ScanBackend`]: the
 //! logical pool here ([`LogicalScan`]) and the physical pool, with or
 //! without its cache, in `lmp-cluster`. Once the loop settles into rounds
-//! that repeat relative to the clock, the engine skips whole rounds,
-//! applying their effects in bulk; every simulated number is the one
-//! stepping would produce ([`mod@reference`] keeps the stepping loop as the
-//! oracle). DESIGN.md §7 "Steady-state scan fast-forward" gives the rules.
+//! that repeat relative to the clock, the engine jumps over as many
+//! repetitions as its bounds allow in one step, applying their effects in
+//! bulk; every simulated number is the one stepping would produce
+//! ([`mod@reference`] keeps the stepping loop as the oracle). DESIGN.md §7
+//! "Steady-state scan fast-forward" gives the rules.
 
 use lmp_core::prelude::*;
 use lmp_fabric::{Fabric, NodeId};
@@ -172,9 +173,15 @@ pub trait ScanBackend {
     /// into DRAM runs and fabric chunks (ops of equal length and shape are
     /// timed alike). `None` at or past the stream's end.
     fn op_at(&self, pos: u64, want: u64) -> Option<(u64, u64)>;
+    /// How far the op `op_at(pos, want)` repeats back to back: a core
+    /// that issues it and keeps going, wanting `want` again if the op was
+    /// not clamped and any amount above its length if it was, issues ops
+    /// of its length and shape while they end at or before the returned
+    /// position.
+    fn reach(&self, pos: u64, want: u64) -> u64;
     /// Serve a wave (one op when not [`ScanBackend::WAVES`]) issued at
     /// `now`, filling `served` in op order. Returns when the wave's DRAM
-    /// legs finished, which [`ScanBackend::repeat`] gets back.
+    /// legs finished, which a [`Jump`] gets back.
     fn issue(&mut self, now: SimTime, ops: &[ScanOp], served: &mut Vec<Served>)
         -> Result<SimTime, PoolError>;
     /// The fabric.
@@ -191,46 +198,83 @@ pub trait ScanBackend {
     /// every repetition of a round (DRAM run counts).
     fn ledger(&self, out: &mut Vec<u64>);
     /// Finish `rounds` repetitions of a round: advance the
-    /// [`ScanBackend::ledger`] counters by `rounds` × `delta`, and apply
-    /// what the backend accounts per repetition in bulk.
+    /// [`ScanBackend::ledger`] counters by `rounds` × `delta`.
     fn finish(&mut self, delta: &[u64], rounds: u64) -> Result<(), PoolError>;
-    /// Whether every op of one repetition of a round, issued now in
-    /// order, would take the path its recorded op took. Charges nothing.
-    fn same_paths(&mut self, round: &Repeat<'_>) -> bool;
-    /// Account one repeated round without timing it: everything
+    /// How many of the first `k` repetitions of `jump`, issued in order,
+    /// take the paths their recorded ops took (at most `k`). Charges
+    /// nothing.
+    fn paths(&mut self, jump: &Jump<'_>, k: u64) -> u64;
+    /// Account the first `k` repetitions of `jump` without timing them,
+    /// after [`ScanBackend::paths`] allowed them: everything
     /// [`ScanBackend::issue`] charges that depends on where the ops land
     /// (translations, hotness, cache stamps, telemetry).
-    fn repeat(&mut self, round: &Repeat<'_>) -> Result<(), PoolError>;
+    fn repeat(&mut self, jump: &Jump<'_>, k: u64) -> Result<(), PoolError>;
 }
 
-/// One repetition of a recorded round, as [`ScanBackend::repeat`] gets it.
+/// Back-to-back ops of one length from one core, `per_round` of them in
+/// each repetition of a [`Jump`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Stream position of the first op.
+    pub pos: u64,
+    /// Bytes per op.
+    pub len: u64,
+    /// Ops per repetition.
+    pub per_round: u64,
+}
+
+/// Repetitions of a recorded round, as [`ScanBackend::paths`] and
+/// [`ScanBackend::repeat`] get them. Repetition `j` starts `j` periods
+/// after `origin`, and each op lands its core's advance `j` times further
+/// on than in repetition 0.
 #[derive(Debug, Clone, Copy)]
-pub struct Repeat<'a> {
-    /// When the repetition starts; every offset below is from here.
+pub struct Jump<'a> {
+    /// When repetition 0 starts; every offset below is from a
+    /// repetition's start.
     pub origin: SimTime,
+    /// How long one repetition takes.
+    pub period: SimDuration,
     /// The round's waves: issue offset, one past the wave's last op in
     /// `ops`, and the offset at which its DRAM legs finished.
     pub waves: &'a [(SimDuration, usize, SimDuration)],
-    /// The round's ops at the positions the repetition issues them, in
+    /// The round's ops at the positions repetition 0 issues them, in
     /// issue order.
     pub ops: &'a [ScanOp],
-    /// How each op was served, its completion as an offset from `origin`.
+    /// How each op was served, its completion as an offset.
     pub served: &'a [Served],
+    /// Bytes each core advances per repetition, by core.
+    pub advance: &'a [u64],
+    /// Every issuing core's ops from repetition 0 on, as runs. A core
+    /// whose ops in the round differ in length or shape repeats at most
+    /// once, so each of its ops is a run of its own.
+    pub runs: &'a [Run],
 }
 
-impl Repeat<'_> {
-    /// The waves as (issue time, op range, DRAM-done time).
-    pub fn waves(&self) -> impl Iterator<Item = (SimTime, std::ops::Range<usize>, SimTime)> + '_ {
-        self.waves.iter().scan(0, |lo, &(at, end, dram_done)| {
+impl Jump<'_> {
+    /// When repetition `j` starts.
+    fn start(&self, j: u64) -> SimTime {
+        self.origin + SimDuration::from_nanos(self.period.as_nanos().saturating_mul(j))
+    }
+
+    /// Where op `i` lands in repetition `j`.
+    pub fn pos(&self, i: usize, j: u64) -> u64 {
+        let op = &self.ops[i];
+        op.pos + j * self.advance[op.core as usize]
+    }
+
+    /// Repetition `j`'s waves as (issue time, op range, DRAM-done time).
+    pub fn waves(&self, j: u64) -> impl Iterator<Item = (SimTime, std::ops::Range<usize>, SimTime)> + '_ {
+        let start = self.start(j);
+        self.waves.iter().scan(0, move |lo, &(at, end, dram_done)| {
             let range = *lo..end;
             *lo = end;
-            Some((self.origin + at, range, self.origin + dram_done))
+            Some((start + at, range, start + dram_done))
         })
     }
 
-    /// Op `i`'s completion time.
-    pub fn complete(&self, i: usize) -> SimTime {
-        self.origin + SimDuration::from_nanos(self.served[i].complete.as_nanos())
+    /// Op `i`'s completion time in repetition `j`.
+    pub fn complete(&self, i: usize, j: u64) -> SimTime {
+        self.start(j) + SimDuration::from_nanos(self.served[i].complete.as_nanos())
     }
 }
 
@@ -302,6 +346,16 @@ struct OpRec {
     len: u64,
     shape: u64,
     served: Served,
+}
+
+/// One core's ops in a recorded round.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stride {
+    ops: u64,
+    /// Their common length and shape; `None` once two differ.
+    op: Option<(u64, u64)>,
+    /// Bytes the core advances per round.
+    advance: u64,
 }
 
 /// The round being recorded: one issue (at least) by every core that was
@@ -547,68 +601,114 @@ impl Engine {
         }
     }
 
-    /// The recorded round repeats from `now` (its end): skip as many
-    /// repetitions as every check allows, apply their effects, and return
-    /// when the first unskipped round starts.
+    /// The recorded round repeats from `now` (its end): jump as many
+    /// repetitions as every bound allows, each jump as far as the bounds
+    /// reach at once, apply their effects, and return when the first
+    /// unskipped round starts.
     fn fast_forward<B: ScanBackend>(&mut self, b: &mut B, now: SimTime) -> Result<SimTime, PoolError> {
         let r = &self.round;
         let period = now.duration_since(r.start);
+        let mut strides = vec![Stride::default(); self.cores.len()];
+        for o in &r.ops {
+            let s = &mut strides[o.core as usize];
+            s.op = if s.ops == 0 || s.op == Some((o.len, o.shape)) {
+                Some((o.len, o.shape))
+            } else {
+                None
+            };
+            s.ops += 1;
+            s.advance += o.len;
+        }
+        let advance: Vec<u64> = strides.iter().map(|s| s.advance).collect();
+        let served: Vec<Served> = r.ops.iter().map(|o| o.served).collect();
         let mut cores = self.cores.clone();
         let mut trial = cores.clone();
         let mut estimates: Vec<Ewma> = (0..b.drams()).map(|i| b.dram(i).estimate()).collect();
-        let mut stepped = estimates.clone();
         let mut settled = vec![false; estimates.len()];
-        let paths: Vec<Served> = r.ops.iter().map(|o| o.served).collect();
-        let mut ops: Vec<ScanOp> = Vec::with_capacity(r.ops.len());
+        let (mut ops, mut runs) = (Vec::with_capacity(r.ops.len()), Vec::new());
         let mut rounds = 0u64;
-        'skip: loop {
-            // Every op lands where the recorded one did relative to its
-            // core's slice: same length and shape, no core at its slice
-            // end, no stripe or frame boundary crossed.
+        loop {
+            // Geometry: every op lands where the recorded one did relative
+            // to its core's slice, with the same length and shape, and is
+            // not its core's last. A core whose ops all match runs until
+            // the backend's reach or its slice end; one whose ops differ
+            // is checked op by op for one repetition.
+            let mut k = u64::MAX;
             ops.clear();
+            runs.clear();
             trial.copy_from_slice(&cores);
             for o in &r.ops {
-                let core = &mut trial[o.core as usize];
-                if core.left <= o.len || self.next_op(b, *core) != (o.len, o.shape) {
-                    break 'skip;
+                let c = o.core as usize;
+                let core = trial[c];
+                let s = strides[c];
+                let lands = match s.op {
+                    Some((len, shape)) if core.pos == cores[c].pos => {
+                        let want = core.left.min(self.params.chunk);
+                        let run = b.reach(core.pos, want).saturating_sub(core.pos) / len;
+                        let slice = core.left.saturating_sub(1) / len;
+                        k = k.min(run.min(slice) / s.ops);
+                        runs.push(Run {
+                            pos: core.pos,
+                            len,
+                            per_round: s.ops,
+                        });
+                        b.op_at(core.pos, want) == Some((len, shape))
+                    }
+                    Some(_) => true,
+                    None => {
+                        k = k.min(1);
+                        runs.push(Run {
+                            pos: core.pos,
+                            len: o.len,
+                            per_round: 1,
+                        });
+                        core.left > o.len && self.next_op(b, core) == (o.len, o.shape)
+                    }
+                };
+                if !lands || k == 0 {
+                    k = 0;
+                    break;
                 }
                 ops.push(ScanOp {
                     core: o.core,
                     pos: core.pos,
                     len: o.len,
                 });
-                core.pos += o.len;
-                core.left -= o.len;
+                trial[c].pos += o.len;
+                trial[c].left -= o.len;
             }
-            let repeat = Repeat {
-                origin: r.start + SimDuration::from_nanos(period.as_nanos().saturating_mul(rounds + 1)),
-                waves: &r.waves,
-                ops: &ops,
-                served: &paths,
-            };
-            if !b.same_paths(&repeat) {
+            if k == 0 {
                 break;
             }
-
-            // Every smoothed DRAM utilization, stepped one call at a time
-            // from the recorded inputs, yields the recorded latency. An
-            // estimate a whole round leaves unchanged has reached a fixed
-            // point: every later round steps it the same way.
-            for (i, calls) in r.calls.iter().enumerate() {
-                if settled[i] {
-                    continue;
-                }
-                stepped[i] = estimates[i];
-                if !calls.iter().all(|c| b.dram(i).repeats(&mut stepped[i], c)) {
-                    break 'skip;
-                }
-                settled[i] = stepped[i].value().map(f64::to_bits)
-                    == estimates[i].value().map(f64::to_bits);
+            let geometry = k;
+            let jump = Jump {
+                origin: r.start + SimDuration::from_nanos(period.as_nanos().saturating_mul(rounds + 1)),
+                period,
+                waves: &r.waves,
+                ops: &ops,
+                served: &served,
+                advance: &advance,
+                runs: &runs,
+            };
+            // The backend's paths, then the DRAM estimates, may cut the
+            // jump short; neither charges anything.
+            let k = b.paths(&jump, k);
+            let drams: Vec<&DramChannel> = (0..b.drams()).map(|i| b.dram(i)).collect();
+            let k = step_estimates(&drams, &r.calls, &mut estimates, &mut settled, k);
+            if k == 0 {
+                break;
             }
-            b.repeat(&repeat)?;
-            rounds += 1;
-            cores.copy_from_slice(&trial);
-            estimates.copy_from_slice(&stepped);
+            b.repeat(&jump, k)?;
+            rounds += k;
+            for (core, s) in cores.iter_mut().zip(&strides) {
+                core.pos += k * s.advance;
+                core.left -= k * s.advance;
+            }
+            if k < geometry {
+                // A path or an estimate stopped the jump: the next
+                // repetition fails the same check.
+                break;
+            }
         }
         if rounds == 0 {
             return Ok(now);
@@ -656,6 +756,41 @@ impl Engine {
     }
 }
 
+/// Step every unsettled DRAM estimate through up to `k` repetitions of
+/// its channel's recorded `calls`, one scalar per call from the recorded
+/// utilization inputs, and return how many repetitions pay every recorded
+/// latency; `estimates` are left after them. An estimate a whole
+/// repetition leaves unchanged has reached a fixed point, after which
+/// every repetition steps it the same way: it is marked `settled` and
+/// stepped no further.
+fn step_estimates(
+    drams: &[&DramChannel],
+    calls: &[Vec<DramCall>],
+    estimates: &mut [Ewma],
+    settled: &mut [bool],
+    k: u64,
+) -> u64 {
+    let mut live: Vec<usize> = (0..drams.len()).filter(|&i| !settled[i]).collect();
+    let mut next = estimates.to_vec();
+    for j in 0..k {
+        if live.is_empty() {
+            break;
+        }
+        for &i in &live {
+            next[i] = estimates[i];
+            if !calls[i].iter().all(|c| drams[i].repeats(&mut next[i], c)) {
+                return j;
+            }
+        }
+        for &i in &live {
+            settled[i] = next[i].value().map(f64::to_bits) == estimates[i].value().map(f64::to_bits);
+            estimates[i] = next[i];
+        }
+        live.retain(|&i| !settled[i]);
+    }
+    k
+}
+
 /// The logical pool as a scan backend: the stream is the concatenation
 /// of `ranges`, and each wave is one [`LogicalPool::access_batch`].
 #[derive(Debug)]
@@ -668,7 +803,7 @@ pub struct LogicalScan<'a> {
     ends: Vec<u64>,
     batch: Vec<BatchOp>,
     accesses: Vec<PoolAccess>,
-    /// One repeated round's translations, in order.
+    /// One repetition's translations, in order.
     lookups: Vec<SegmentId>,
 }
 
@@ -709,13 +844,14 @@ impl<'a> LogicalScan<'a> {
         Some((i, seg, off + len - (end - pos), end - pos))
     }
 
-    fn batch_ops(&mut self, ops: &[ScanOp]) -> Result<(), PoolError> {
+    /// Fill `batch` with reads of `(position, length)` ops.
+    fn batch_ops(&mut self, ops: impl IntoIterator<Item = (u64, u64)>) -> Result<(), PoolError> {
         self.batch.clear();
-        for op in ops {
+        for (pos, len) in ops {
             let (_, seg, off, _) = self
-                .locate(op.pos)
+                .locate(pos)
                 .ok_or(PoolError::Internal("scan position beyond vector end"))?;
-            self.batch.push(BatchOp::read(LogicalAddr::new(seg, off), op.len));
+            self.batch.push(BatchOp::read(LogicalAddr::new(seg, off), len));
         }
         Ok(())
     }
@@ -746,8 +882,22 @@ impl ScanBackend for LogicalScan<'_> {
         Some((len, (stripe as u64) << 32 | split))
     }
 
+    fn reach(&self, pos: u64, want: u64) -> u64 {
+        let Some((_, _, _, left)) = self.locate(pos) else {
+            return pos;
+        };
+        // Ops of at most a frame, or of whole frames, keep their shape to
+        // the stripe's end; a longer op splits somewhere else each time.
+        let len = want.min(left);
+        if len > FRAME_BYTES && !len.is_multiple_of(FRAME_BYTES) {
+            pos + len
+        } else {
+            pos + left
+        }
+    }
+
     fn issue(&mut self, now: SimTime, ops: &[ScanOp], served: &mut Vec<Served>) -> Result<SimTime, PoolError> {
-        self.batch_ops(ops)?;
+        self.batch_ops(ops.iter().map(|op| (op.pos, op.len)))?;
         let batch = self.pool.access_batch(self.fabric, now, self.server, &self.batch)?;
         served.clear();
         served.extend(batch.ops.iter().map(|a| Served {
@@ -792,47 +942,60 @@ impl ScanBackend for LogicalScan<'_> {
                 .node_mut(NodeId(s as u32))
                 .add_runs(d[0].saturating_mul(rounds), d[1].saturating_mul(rounds));
         }
-        if self.pool.repeat_translations(self.server, &self.lookups, rounds)? {
-            Ok(())
-        } else {
-            Err(PoolError::Internal("repeated translations stopped hitting"))
-        }
+        Ok(())
     }
 
-    fn same_paths(&mut self, round: &Repeat<'_>) -> bool {
-        // Every wave translates each distinct segment once, in op order.
-        // Nothing moves segments during a scan, so the round repeats its
-        // translations exactly when each is a hit on a valid entry.
+    fn paths(&mut self, jump: &Jump<'_>, k: u64) -> u64 {
+        // Every wave translates each distinct segment once, in op order,
+        // and every repetition the same segments. Nothing moves segments
+        // during a scan, so the repetitions repeat their translations
+        // exactly when each is a hit on a valid entry.
         self.lookups.clear();
-        for (_, range, _) in round.waves() {
+        for (_, range, _) in jump.waves(0) {
             let first = self.lookups.len();
-            for op in &round.ops[range] {
+            for op in &jump.ops[range] {
                 let Some((_, seg, _, _)) = self.locate(op.pos) else {
-                    return false;
+                    return 0;
                 };
                 if !self.lookups[first..].contains(&seg) {
                     self.lookups.push(seg);
                 }
             }
         }
-        matches!(self.pool.repeat_translations(self.server, &self.lookups, 0), Ok(true))
+        if self.pool.translations_hit(self.server, &self.lookups) {
+            k
+        } else {
+            0
+        }
     }
 
-    fn repeat(&mut self, round: &Repeat<'_>) -> Result<(), PoolError> {
-        self.batch_ops(round.ops)?;
-        self.pool.repeat_chunks(self.server, &self.batch)?;
+    fn repeat(&mut self, jump: &Jump<'_>, k: u64) -> Result<(), PoolError> {
+        if !self.pool.repeat_translations(self.server, &self.lookups, k)? {
+            return Err(PoolError::Internal("repeated translations stopped hitting"));
+        }
+        for run in jump.runs {
+            let (_, seg, off, _) = self
+                .locate(run.pos)
+                .ok_or(PoolError::Internal("scan position beyond vector end"))?;
+            self.pool
+                .repeat_chunks(self.server, LogicalAddr::new(seg, off), run.len, run.per_round * k)?;
+        }
         if self.pool.telemetry().is_some() {
-            // Only telemetry reads the ops' timing.
-            for (now, range, dram_done) in round.waves() {
-                self.accesses.clear();
-                self.accesses.extend(range.clone().map(|i| PoolAccess {
-                    complete: round.complete(i),
-                    local_bytes: round.served[i].local_bytes,
-                    remote_bytes: round.served[i].remote_bytes,
-                    faults: 0,
-                }));
-                self.pool
-                    .repeat_telemetry(now, self.server, &self.batch[range], &self.accesses, dram_done);
+            // Only telemetry reads the ops' timing; spans carry absolute
+            // times, so every repetition's waves are recorded.
+            for j in 0..k {
+                self.batch_ops((0..jump.ops.len()).map(|i| (jump.pos(i, j), jump.ops[i].len)))?;
+                for (now, range, dram_done) in jump.waves(j) {
+                    self.accesses.clear();
+                    self.accesses.extend(range.clone().map(|i| PoolAccess {
+                        complete: jump.complete(i, j),
+                        local_bytes: jump.served[i].local_bytes,
+                        remote_bytes: jump.served[i].remote_bytes,
+                        faults: 0,
+                    }));
+                    self.pool
+                        .repeat_telemetry(now, self.server, &self.batch[range], &self.accesses, dram_done);
+                }
             }
         }
         Ok(())

@@ -5,12 +5,13 @@
 //! logical pool: every simulated number and every piece of state a later
 //! access or report can see must match.
 
-use lmp_compute::scan::{self, reference, LogicalScan};
-use lmp_compute::{ScanOutcome, ScanParams};
+use lmp_compute::scan::{self, reference, Jump, LogicalScan, ScanBackend, ScanOp, Served};
+use lmp_compute::{DistVector, ScanOutcome, ScanParams};
 use lmp_core::prelude::*;
 use lmp_fabric::{BandWeights, Fabric, LinkId, LinkProfile, NodeId};
 use lmp_mem::{DramChannel, DramProfile, FRAME_BYTES};
 use lmp_sim::prelude::*;
+use lmp_sim::units::GIB;
 use proptest::prelude::*;
 
 const SERVERS: u32 = 4;
@@ -32,9 +33,76 @@ struct Case {
     background: bool,
 }
 
+/// Each run's next position, op length and ops per repetition after one
+/// jump.
+type Ends = Vec<(u64, u64, u64)>;
+
+/// [`LogicalScan`], counting its path checks and logging its jumps.
+struct Counted<'a> {
+    inner: LogicalScan<'a>,
+    checks: u64,
+    jumps: Vec<Ends>,
+}
+
+impl ScanBackend for Counted<'_> {
+    const WAVES: bool = <LogicalScan<'static> as ScanBackend>::WAVES;
+
+    fn stream_len(&self) -> u64 {
+        self.inner.stream_len()
+    }
+    fn check(&self) -> Result<(), PoolError> {
+        self.inner.check()
+    }
+    fn op_at(&self, pos: u64, want: u64) -> Option<(u64, u64)> {
+        self.inner.op_at(pos, want)
+    }
+    fn reach(&self, pos: u64, want: u64) -> u64 {
+        self.inner.reach(pos, want)
+    }
+    fn issue(&mut self, now: SimTime, ops: &[ScanOp], served: &mut Vec<Served>) -> Result<SimTime, PoolError> {
+        self.inner.issue(now, ops, served)
+    }
+    fn fabric(&self) -> &Fabric {
+        self.inner.fabric()
+    }
+    fn fabric_mut(&mut self) -> &mut Fabric {
+        self.inner.fabric_mut()
+    }
+    fn drams(&self) -> usize {
+        self.inner.drams()
+    }
+    fn dram(&self, i: usize) -> &DramChannel {
+        self.inner.dram(i)
+    }
+    fn dram_mut(&mut self, i: usize) -> &mut DramChannel {
+        self.inner.dram_mut(i)
+    }
+    fn ledger(&self, out: &mut Vec<u64>) {
+        self.inner.ledger(out)
+    }
+    fn finish(&mut self, delta: &[u64], rounds: u64) -> Result<(), PoolError> {
+        self.inner.finish(delta, rounds)
+    }
+    fn paths(&mut self, jump: &Jump<'_>, k: u64) -> u64 {
+        self.checks += 1;
+        self.inner.paths(jump, k)
+    }
+    fn repeat(&mut self, jump: &Jump<'_>, k: u64) -> Result<(), PoolError> {
+        self.inner.repeat(jump, k)?;
+        self.jumps.push(
+            jump.runs
+                .iter()
+                .map(|r| (r.pos + r.per_round * k * r.len, r.len, r.per_round))
+                .collect(),
+        );
+        Ok(())
+    }
+}
+
 /// Build the case's pool and vector, run its scans with `fast` (the
-/// engine) or the reference, and describe everything left behind.
-fn run(case: &Case, fast: bool) -> (Vec<ScanOutcome>, u64, String) {
+/// engine) or the reference, and describe everything left behind. With
+/// `fast`, also the ops skipped and the last scan's jumps.
+fn run(case: &Case, fast: bool) -> (Vec<ScanOutcome>, u64, String, Vec<Ends>) {
     let cfg = PoolConfig {
         servers: SERVERS,
         capacity_per_server: (case.shared_frames + 2) * FRAME_BYTES,
@@ -74,21 +142,37 @@ fn run(case: &Case, fast: bool) -> (Vec<ScanOutcome>, u64, String) {
             .collect();
         now = pool.access_batch(&mut fabric, now, other, &ops).unwrap().complete;
     }
-    let mut outcomes = Vec::new();
-    let mut skipped = 0;
+    let (mut outcomes, mut skipped, mut jumps) = (Vec::new(), 0, Vec::new());
     for _ in 0..case.scans {
-        let mut backend = LogicalScan::new(&mut pool, &mut fabric, requester, &ranges);
+        let backend = LogicalScan::new(&mut pool, &mut fabric, requester, &ranges);
         let out = if fast {
-            let r = scan::run(&mut backend, now, case.params).unwrap();
+            let mut counted = Counted {
+                inner: backend,
+                checks: 0,
+                jumps: Vec::new(),
+            };
+            let r = scan::run(&mut counted, now, case.params).unwrap();
             skipped += r.fast_forwarded;
+            jumps = counted.jumps;
             r.outcome
         } else {
+            let mut backend = backend;
             reference::run(&mut backend, now, case.params).unwrap()
         };
         now = out.complete;
         outcomes.push(out);
     }
-    (outcomes, skipped, describe(&mut pool, &mut fabric, now))
+    (outcomes, skipped, describe(&mut pool, &mut fabric, now), jumps)
+}
+
+/// The engine and the reference agree on everything about `case`;
+/// returns the ops the engine skipped and its last scan's jumps.
+fn matches_stepping(case: &Case) -> (u64, Vec<Ends>) {
+    let (fast, skipped, fast_state, jumps) = run(case, true);
+    let (slow, _, slow_state, _) = run(case, false);
+    assert_eq!(fast, slow, "{case:?}");
+    assert_eq!(fast_state, slow_state, "{case:?}");
+    (skipped, jumps)
 }
 
 fn dram(d: &DramChannel, now: SimTime) -> String {
@@ -192,10 +276,19 @@ proptest! {
     /// reference agree on everything.
     #[test]
     fn logical_fast_forward_matches_stepping(case in case()) {
-        let (fast, _, fast_state) = run(&case, true);
-        let (slow, _, slow_state) = run(&case, false);
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(fast_state, slow_state);
+        matches_stepping(&case);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// [`logical_fast_forward_matches_stepping`] at depth, for
+    /// `cargo test --release -- --ignored`.
+    #[test]
+    #[ignore]
+    fn logical_fast_forward_matches_stepping_deep(case in case()) {
+        matches_stepping(&case);
     }
 }
 
@@ -225,11 +318,123 @@ fn settled_scans_fast_forward_and_match() {
             scans: 2,
             background: true,
         };
-        let (fast, skipped, fast_state) = run(&case, true);
-        let (slow, _, slow_state) = run(&case, false);
+        let (skipped, _) = matches_stepping(&case);
         let total: u64 = case.stripes.iter().map(|s| s.1).sum::<u64>() * 2;
         assert!(skipped * 2 > total, "{case:?}: only {skipped} of ~{total} ops skipped");
-        assert_eq!(fast, slow, "{case:?}");
-        assert_eq!(fast_state, slow_state, "{case:?}");
+    }
+}
+
+/// The stream positions where `case`'s stripes end, and where its cores'
+/// slices end.
+fn boundaries(case: &Case) -> (Vec<u64>, Vec<u64>) {
+    let stripes: Vec<u64> = case
+        .stripes
+        .iter()
+        .scan(0, |end, &(_, frames, short)| {
+            let len = frames * FRAME_BYTES - short;
+            *end += len - short.min(len - 1);
+            Some(*end)
+        })
+        .collect();
+    let total = stripes.last().copied().unwrap_or(0);
+    let cores = u64::from(case.params.cores);
+    let slices = (1..=cores)
+        .map(|c| c * (total / cores) + c.min(total % cores))
+        .collect();
+    (stripes, slices)
+}
+
+/// Whether some run of a jump stopped because another repetition would
+/// have crossed the first of `ends` at or after it, or, `last`, issued a
+/// core's last op before it.
+fn stopped_at(jump: &Ends, ends: &[u64], last: bool) -> bool {
+    jump.iter().any(|&(end, op, per)| {
+        ends.iter()
+            .find(|&&e| e >= end)
+            .is_some_and(|&e| e - end < per * op + u64::from(last))
+    })
+}
+
+/// Whether a jump of `case` stopped at a core's slice end.
+fn at_slice_end(case: &Case, jump: &Ends) -> bool {
+    stopped_at(jump, &boundaries(case).1, true)
+}
+
+/// Whether a jump of `case` stopped at a stripe end inside a core's
+/// slice.
+fn at_stripe_end(case: &Case, jump: &Ends) -> bool {
+    let (stripes, slices) = boundaries(case);
+    let inside: Vec<u64> = stripes.into_iter().filter(|e| !slices.contains(e)).collect();
+    stopped_at(jump, &inside, false)
+}
+
+type Bound = fn(&Case, &Ends) -> bool;
+
+/// Fixed cases, each against the reference, whose last scan jumps up to
+/// a named bound: a core's slice end, a stripe end inside a core's slice,
+/// with chunks of ½ and 1 frame and of 1,000,000 B, and with telemetry
+/// attached. Some jump must end exactly there.
+#[test]
+fn logical_jumps_end_at_their_bounds() {
+    let base = Case {
+        shared_frames: 110,
+        link0: false,
+        bands: false,
+        tlb: 64,
+        telemetry: false,
+        stripes: vec![(0, 100, 0)],
+        requester: 0,
+        params: ScanParams::with_cores(4),
+        scans: 1,
+        background: false,
+    };
+    let chunk = |chunk| ScanParams {
+        chunk,
+        ..ScanParams::with_cores(4)
+    };
+    let cases: Vec<(&str, Case, Bound)> = vec![
+        ("slice end", base.clone(), at_slice_end),
+        ("stripe end", Case { stripes: vec![(0, 30, 0), (0, 70, 0)], ..base.clone() }, at_stripe_end),
+        ("half-frame chunks", Case { params: chunk(FRAME_BYTES / 2), ..base.clone() }, at_slice_end),
+        ("1,000,000 B chunks", Case { params: chunk(1_000_000), ..base.clone() }, at_slice_end),
+        ("telemetry", Case { telemetry: true, bands: true, stripes: vec![(1, 100, 0)], scans: 2, ..base.clone() }, at_slice_end),
+    ];
+    for (name, case, bound) in cases {
+        let (_, jumps) = matches_stepping(&case);
+        assert!(jumps.iter().any(|j| bound(&case, j)), "{name}: {jumps:?}");
+    }
+    // Ops of 1½ frames split at alternating offsets, so every op changes
+    // shape: nothing repeats, and the scan is stepped.
+    let (skipped, _) = matches_stepping(&Case { params: chunk(3 * FRAME_BYTES / 2), ..base });
+    assert_eq!(skipped, 0);
+}
+
+/// The 8 and 24 GiB paper scans on a Logical deployment (four servers
+/// with 24 GiB each, 14 cores, a 1,024-entry translation cache) skip
+/// their settled stretches in a few jumps, not one check per round.
+#[test]
+fn paper_scans_jump_in_few_steps() {
+    for link in [LinkProfile::link0(), LinkProfile::link1()] {
+        for size in [8 * GIB, 24 * GIB] {
+            let mut pool = LogicalPool::new(PoolConfig {
+                servers: SERVERS,
+                capacity_per_server: 24 * GIB,
+                shared_per_server: 24 * GIB,
+                dram: DramProfile::xeon_gold_5120(),
+                tlb_capacity: 1024,
+            });
+            let mut fabric = Fabric::new(link.clone(), SERVERS);
+            let v = DistVector::place_local_first(&mut pool, size, NodeId(0)).unwrap();
+            let ranges: Vec<(SegmentId, u64, u64)> = v.stripes.iter().map(|(_, s, l)| (*s, 0, *l)).collect();
+            let mut counted = Counted {
+                inner: LogicalScan::new(&mut pool, &mut fabric, NodeId(0), &ranges),
+                checks: 0,
+                jumps: Vec::new(),
+            };
+            let run = scan::run(&mut counted, SimTime::ZERO, ScanParams::with_cores(14)).unwrap();
+            let calls = counted.checks + counted.jumps.len() as u64;
+            assert!(run.fast_forwarded * 10 >= run.ops * 9, "{} {size}: {run:?}", link.name);
+            assert!(calls <= 4, "{} {size}: {calls} path checks and repeats", link.name);
+        }
     }
 }

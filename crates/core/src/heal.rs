@@ -176,7 +176,7 @@ impl RecoveryOrchestrator {
         claimed_epoch: u64,
         warm: bool,
     ) -> Result<RejoinOutcome, PoolError> {
-        // Refused here, before `may_resurrect` indexes by the node.
+        // An unknown node is refused before anything changes.
         pool.check_server(node)?;
         if warm && membership.may_resurrect(node, claimed_epoch) {
             // Honored claim: DRAM survived the outage (the crash model
@@ -281,7 +281,7 @@ mod tests {
         let mut membership = Membership::new(4);
         let stale_epoch = membership.epoch(); // what n0 last saw
         pool.crash_server(NodeId(0)).unwrap();
-        let epoch = membership.confirm_down(NodeId(0));
+        let epoch = membership.confirm_down(NodeId(0)).unwrap();
         let mut orch = RecoveryOrchestrator::new();
         orch.on_confirmed_down(&pool, NodeId(0), epoch);
         orch.step(&mut pool, &mut fabric, &mut pm, t0, 8);
@@ -330,7 +330,7 @@ mod tests {
         fabric.set_port_down(NodeId(0), true);
 
         let mut membership = Membership::new(3);
-        let epoch = membership.confirm_down(NodeId(0));
+        let epoch = membership.confirm_down(NodeId(0)).unwrap();
         let mut orch = RecoveryOrchestrator::new();
         assert_eq!(orch.on_confirmed_down(&pool, NodeId(0), epoch), 2);
 

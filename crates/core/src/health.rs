@@ -154,30 +154,37 @@ impl Membership {
         self.epoch
     }
 
-    /// The epoch under which `node` last joined the cluster.
-    pub fn incarnation(&self, node: NodeId) -> u64 {
-        self.incarnation[node.0 as usize]
+    /// The epoch under which `node` last joined the cluster; `None` for
+    /// a node outside the membership.
+    pub fn incarnation(&self, node: NodeId) -> Option<u64> {
+        self.incarnation.get(node.0 as usize).copied()
     }
 
-    /// Whether `node` is currently confirmed out of the membership.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.down_at[node.0 as usize]
-            .is_some_and(|d| d >= self.incarnation[node.0 as usize])
+    /// Whether `node` is currently confirmed out of the membership; `None`
+    /// for a node outside it.
+    pub fn is_down(&self, node: NodeId) -> Option<bool> {
+        let i = node.0 as usize;
+        let (down, incarnation) = (self.down_at.get(i)?, self.incarnation.get(i)?);
+        Some(down.is_some_and(|d| d >= *incarnation))
     }
 
-    /// Record `node` as confirmed Down; returns the new epoch.
-    pub fn confirm_down(&mut self, node: NodeId) -> u64 {
+    /// Record `node` as confirmed Down; returns the new epoch. A node
+    /// outside the membership changes nothing and yields `None`.
+    pub fn confirm_down(&mut self, node: NodeId) -> Option<u64> {
+        let down = self.down_at.get_mut(node.0 as usize)?;
         self.epoch += 1;
-        self.down_at[node.0 as usize] = Some(self.epoch);
-        self.epoch
+        *down = Some(self.epoch);
+        Some(self.epoch)
     }
 
     /// Record `node` as rejoined under a fresh incarnation; returns the
-    /// new epoch.
-    pub fn rejoin(&mut self, node: NodeId) -> u64 {
+    /// new epoch. A node outside the membership changes nothing and yields
+    /// `None`.
+    pub fn rejoin(&mut self, node: NodeId) -> Option<u64> {
+        let incarnation = self.incarnation.get_mut(node.0 as usize)?;
         self.epoch += 1;
-        self.incarnation[node.0 as usize] = self.epoch;
-        self.epoch
+        *incarnation = self.epoch;
+        Some(self.epoch)
     }
 
     /// Whether a returning `node` that last observed `claimed_epoch` may
@@ -185,11 +192,13 @@ impl Membership {
     /// no confirmation happened after its claim — i.e. the node was never
     /// declared Down since (a suspicion that cleared does not count).
     /// After a confirmed Down, the pool has rebuilt (or written off) its
-    /// segments, so a stale claim must not resurrect them.
+    /// segments, so a stale claim must not resurrect them. A node outside
+    /// the membership may not.
     pub fn may_resurrect(&self, node: NodeId, claimed_epoch: u64) -> bool {
-        match self.down_at[node.0 as usize] {
-            Some(d) => d <= claimed_epoch,
-            None => true,
+        match self.down_at.get(node.0 as usize) {
+            Some(Some(d)) => *d <= claimed_epoch,
+            Some(None) => true,
+            None => false,
         }
     }
 }
@@ -344,12 +353,13 @@ impl FailureDetector {
             }
             NodeHealth::Down => {
                 s.health = NodeHealth::Healthy;
-                let epoch = self.membership.rejoin(node);
-                events.push(HealthEvent::Rejoined {
-                    node,
-                    at: now,
-                    epoch,
-                });
+                if let Some(epoch) = self.membership.rejoin(node) {
+                    events.push(HealthEvent::Rejoined {
+                        node,
+                        at: now,
+                        epoch,
+                    });
+                }
             }
         }
     }
@@ -368,12 +378,13 @@ impl FailureDetector {
             NodeHealth::Suspected if now.duration_since(s.last_beat) >= lease => {
                 s.health = NodeHealth::Down;
                 self.confirmations += 1;
-                let epoch = self.membership.confirm_down(node);
-                events.push(HealthEvent::ConfirmedDown {
-                    node,
-                    at: now,
-                    epoch,
-                });
+                if let Some(epoch) = self.membership.confirm_down(node) {
+                    events.push(HealthEvent::ConfirmedDown {
+                        node,
+                        at: now,
+                        epoch,
+                    });
+                }
             }
             _ => {}
         }
@@ -423,7 +434,7 @@ mod tests {
             HealthEvent::ConfirmedDown { node: NodeId(1), at, epoch: 1 } if at == us(3)
         ));
         assert_eq!(d.epoch(), 1);
-        assert!(d.membership().is_down(NodeId(1)));
+        assert_eq!(d.membership().is_down(NodeId(1)), Some(true));
     }
 
     #[test]
@@ -469,14 +480,29 @@ mod tests {
             [HealthEvent::Rejoined { node: NodeId(0), epoch: 2, .. }]
         ));
         assert_eq!(d.health(NodeId(0)), NodeHealth::Healthy);
-        assert!(!d.membership().is_down(NodeId(0)));
+        assert_eq!(d.membership().is_down(NodeId(0)), Some(false));
         // The node's pre-crash claim is stale: a Down confirmation
         // happened after it, so resurrection is refused.
         assert!(!d.membership().may_resurrect(NodeId(0), pre_crash_epoch));
         // Its fresh incarnation may of course register segments.
-        assert!(d
-            .membership()
-            .may_resurrect(NodeId(0), d.membership().incarnation(NodeId(0))));
+        let incarnation = d.membership().incarnation(NodeId(0)).unwrap();
+        assert!(d.membership().may_resurrect(NodeId(0), incarnation));
+    }
+
+    #[test]
+    fn membership_answers_for_unknown_nodes_without_changing() {
+        let mut m = Membership::new(3);
+        m.confirm_down(NodeId(1));
+        for id in [3, 8] {
+            let node = NodeId(id);
+            assert_eq!(m.incarnation(node), None);
+            assert_eq!(m.is_down(node), None);
+            assert!(!m.may_resurrect(node, m.epoch()));
+            assert_eq!(m.confirm_down(node), None);
+            assert_eq!(m.rejoin(node), None);
+            assert_eq!(m.epoch(), 1, "node {id}");
+        }
+        assert_eq!(m.is_down(NodeId(1)), Some(true));
     }
 
     #[test]

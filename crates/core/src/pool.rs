@@ -907,11 +907,28 @@ impl LogicalPool {
     // [`DramChannel::fast_forward`]: lmp_mem::DramChannel::fast_forward
     // [`MemoryNode::add_runs`]: lmp_mem::MemoryNode::add_runs
 
+    /// Whether every translation in `lookups` that batches from
+    /// `requester` make would be served without a fault: from a valid
+    /// cached entry, or with no translation cache from the coarse map.
+    /// Charges nothing.
+    pub fn translations_hit(&self, requester: NodeId, lookups: &[SegmentId]) -> bool {
+        let valid = |seg: SegmentId, cached: Option<SegmentLoc>| {
+            self.global.peek(seg).is_some_and(|loc| {
+                cached.is_none_or(|c| c == loc)
+                    && self.locals.get(loc.server.0 as usize).is_some_and(|l| l.holds(seg))
+            })
+        };
+        match self.tlbs.get(requester.0 as usize) {
+            Some(Some(tlb)) => lookups.iter().all(|&s| tlb.peek(s).is_some_and(|c| valid(s, Some(c)))),
+            Some(None) => lookups.iter().all(|&s| valid(s, None)),
+            None => false,
+        }
+    }
+
     /// Repeat `rounds` times the translations `lookups` (in order) that
-    /// repeated batches from `requester` make, when every one would be
-    /// served without a fault: from a valid cached entry, or with no
-    /// translation cache from the coarse map. Returns `false`, changing
-    /// nothing, when one would miss or fault; `rounds == 0` only checks.
+    /// repeated batches from `requester` make, when
+    /// [`LogicalPool::translations_hit`] holds. Returns `false`, changing
+    /// nothing, when one would miss or fault.
     pub fn repeat_translations(
         &mut self,
         requester: NodeId,
@@ -919,61 +936,66 @@ impl LogicalPool {
         rounds: u64,
     ) -> Result<bool, PoolError> {
         self.check_server(requester)?;
-        let (global, locals) = (&mut self.global, &self.locals);
-        let valid = |seg: SegmentId, cached: Option<SegmentLoc>| {
-            global.peek(seg).is_some_and(|loc| {
-                cached.is_none_or(|c| c == loc)
-                    && locals.get(loc.server.0 as usize).is_some_and(|l| l.holds(seg))
-            })
-        };
+        if !self.translations_hit(requester, lookups) {
+            return Ok(false);
+        }
         match &mut self.tlbs[requester.0 as usize] {
-            Some(tlb) => {
-                if !lookups.iter().all(|&s| tlb.peek(s).is_some_and(|c| valid(s, Some(c)))) {
-                    return Ok(false);
-                }
-                Ok(tlb.repeat_hits(lookups, rounds))
-            }
+            Some(tlb) => Ok(tlb.repeat_hits(lookups, rounds)),
             None => {
-                if !lookups.iter().all(|&s| valid(s, None)) {
-                    return Ok(false);
-                }
-                global.add_lookups((lookups.len() as u64).saturating_mul(rounds));
+                self.global
+                    .add_lookups((lookups.len() as u64).saturating_mul(rounds));
                 Ok(true)
             }
         }
     }
 
-    /// Account `ops`, reads or writes from `requester` repeating
-    /// already-timed batches: one hotness sample and one pool access per
-    /// frame chunk, as [`LogicalPool::access_batch`] counts them.
-    pub fn repeat_chunks(&mut self, requester: NodeId, ops: &[BatchOp]) -> Result<(), PoolError> {
+    /// Account `count` back-to-back reads or writes of `len` bytes each
+    /// from `addr` by `requester`, repeating already-timed batches: one
+    /// hotness sample and one pool access per frame chunk, as
+    /// [`LogicalPool::access_batch`] counts them. A frame gets one sample
+    /// per op that touches it.
+    pub fn repeat_chunks(
+        &mut self,
+        requester: NodeId,
+        addr: LogicalAddr,
+        len: u64,
+        count: u64,
+    ) -> Result<(), PoolError> {
         self.check_server(requester)?;
-        let (mut local, mut remote) = (0, 0);
-        for o in ops {
-            let seg = o.addr.segment;
-            let holder = self
-                .global
-                .peek(seg)
-                .ok_or(PoolError::UnknownSegment(seg))?
-                .server;
-            let h = holder.0 as usize;
-            let (fine, node) = (&self.locals[h], &mut self.nodes[h]);
-            let mut chunks = 0;
-            for (frame_idx, _, _) in frame_chunks(o.addr, o.len) {
-                let frame = fine.resolve(seg, frame_idx).ok_or(PoolError::Internal(
-                    "fine map missing frame of live segment",
-                ))?;
-                node.hotness_mut().record(frame, requester.0, 1);
-                chunks += 1;
-            }
-            if holder == requester {
-                local += chunks;
-            } else {
-                remote += chunks;
-            }
+        let seg = addr.segment;
+        let holder = self
+            .global
+            .peek(seg)
+            .ok_or(PoolError::UnknownSegment(seg))?
+            .server;
+        let end = len
+            .checked_mul(count)
+            .and_then(|n| n.checked_add(addr.offset))
+            .ok_or(PoolError::InvalidRequest("repeated ops overflow the address space"))?;
+        if end == addr.offset {
+            return Ok(());
         }
-        self.local_accesses.add(local);
-        self.remote_accesses.add(remote);
+        let h = holder.0 as usize;
+        let first = addr.offset / FRAME_BYTES;
+        let frames = self.locals[h]
+            .frames_of(seg)
+            .get(first as usize..=((end - 1) / FRAME_BYTES) as usize)
+            .ok_or(PoolError::Internal("fine map missing frame of live segment"))?;
+        let hotness = self.nodes[h].hotness_mut();
+        let mut chunks = 0;
+        for (f, &frame) in (first..).zip(frames) {
+            // Ops `lo..=hi` (counted from `addr`) touch this frame.
+            let lo = (f * FRAME_BYTES).max(addr.offset) - addr.offset;
+            let hi = ((f + 1) * FRAME_BYTES).min(end) - 1 - addr.offset;
+            let n = hi / len - lo / len + 1;
+            hotness.record(frame, requester.0, n);
+            chunks += n;
+        }
+        if holder == requester {
+            self.local_accesses.add(chunks);
+        } else {
+            self.remote_accesses.add(chunks);
+        }
         Ok(())
     }
 

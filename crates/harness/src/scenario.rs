@@ -890,7 +890,10 @@ impl World {
             None => self.pool.restart_server(n).map(|()| None),
             Some(h) => {
                 let m = h.detector.membership();
-                let claimed = if warm { m.epoch() } else { m.incarnation(n) };
+                // A cold restart's claim is never honored; an id outside
+                // the membership claims nothing, and `admit_rejoin`
+                // refuses it.
+                let claimed = if warm { m.epoch() } else { m.incarnation(n).unwrap_or_default() };
                 h.orchestrator
                     .admit_rejoin(&mut self.pool, m, n, claimed, warm)
                     .map(Some)

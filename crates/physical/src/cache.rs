@@ -133,6 +133,12 @@ impl PoolCache {
         self.stamps.get(frame.0 as usize).is_some_and(|s| *s != 0)
     }
 
+    /// The LRU stamp of `frame`: the clock at its latest admission or hit,
+    /// 0 when it is not resident.
+    pub fn stamp(&self, frame: FrameId) -> u64 {
+        self.stamps.get(frame.0 as usize).copied().unwrap_or(0)
+    }
+
     /// How an access to `frame` would be served now.
     pub fn path(&self, frame: FrameId) -> CachePath {
         if self.is_resident(frame) {
